@@ -13,7 +13,7 @@ from .diagram import (
 )
 from .cyclotomic import (
     CycloScalar, ModulusError, cyclotomic_polynomial, euler_phi,
-    field_arithmetic, lift_modulus, membership_solve, root_of_unity, sqrt_two,
+    lift_modulus, membership_solve, root_of_unity, sqrt_two,
 )
 from .interpret import (
     BackendError, CompareResult, ContractionPlan, ResourceLimitError,

@@ -4,15 +4,14 @@ Scalars are rational-coefficient combinations of powers of a primitive M-th
 root of unity ``z``, with M always divisible by 8 so that
 sqrt(2) = z^(M/8) + z^(7M/8) is available as a field element.
 
-Internally a value is a sparse exponent -> coefficient map modulo X^M - 1
-together with a power-of-two denominator shift: value = 2^(-shift) * sum.
-Interpreter scalars therefore stay in pure integer arithmetic (the only
-denominators the standard interpretation produces are powers of sqrt(2));
-arbitrary rational coefficients are still accepted and simply ride along as
-``Fraction`` values.  The canonical form (coefficients over the power basis
-1, z, ..., z^(phi(M)-1), reduced modulo the cyclotomic polynomial Phi_M) is
-computed lazily, so equality is syntactic on canonical forms while products
-of sparse values stay cheap.
+A value has one representation: a tuple of phi(M) integer coefficients over
+the power basis 1, z, ..., z^(phi(M)-1) and one positive integer
+denominator, kept in lowest terms (the gcd of the denominator and all the
+coefficients is 1).  Equality, truth and hashing therefore read the fields
+directly, and ``canonical()`` only divides.  Products multiply the non-zero
+coefficients schoolbook-style and reduce the high part by the sparse tail of
+the cyclotomic polynomial Phi_M.  ``Fraction`` appears only at the edges:
+constructor input, ``scale``, ``canonical`` and subfield membership.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -111,22 +111,52 @@ def cyclotomic_polynomial(M: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(M: int) -> tuple[tuple[int, ...], ...]:
-    """Row k-phi(M) is x^k reduced mod Phi_M, for k in [phi(M), M)."""
+def _phi_tail(M: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(M) and the sparse tail of Phi_M: X^phi = sum of t * X^i over (i, t)."""
+    poly = cyclotomic_polynomial(M)
+    phi = len(poly) - 1
+    return phi, tuple((i, -c) for i, c in enumerate(poly[:phi]) if c)
+
+
+def _reduce(M: int, buf: list[int]) -> list[int]:
+    """Reduce a dense integer polynomial (low to high) modulo Phi_M in place;
+    returns its phi(M) power-basis coefficients."""
+    phi, tail = _phi_tail(M)
+    if len(buf) < phi:
+        buf += [0] * (phi - len(buf))
+    for k in range(len(buf) - 1, phi - 1, -1):
+        c = buf[k]
+        if c:
+            base = k - phi
+            for i, t in tail:
+                buf[base + i] += c * t
+    del buf[phi:]
+    return buf
+
+
+@lru_cache(maxsize=None)
+def _hash_weights(M: int) -> tuple[tuple[int, ...], ...]:
+    """Row j, entry i: the trace over Q of z^i * zeta_8^(-j), a primitive n-th
+    root of unity with n = M / gcd(i - j*M/8, M).  That trace is phi(M)/phi(n)
+    times the sum of the primitive n-th roots, which is minus the sub-leading
+    coefficient of Phi_n.
+
+    Traces divided by phi(M) do not change when a value is lifted to a larger
+    modulus, and the four rows together determine the projection of a value
+    onto Q(zeta_8), so every M=8 value hashes by its whole content."""
     phi = euler_phi(M)
-    top = list(cyclotomic_polynomial(M))
-    rows: list[tuple[int, ...]] = []
-    cur = [-c for c in top[:phi]]
-    rows.append(tuple(cur))
-    for _ in range(phi + 1, M):
-        nxt = [0] + cur[:-1]
-        overflow = cur[-1]
-        if overflow:
-            for i in range(phi):
-                nxt[i] -= overflow * top[i]
-        cur = nxt
-        rows.append(tuple(cur))
+    rows = []
+    for j in range(4):
+        polys = [cyclotomic_polynomial(M // gcd(i - j * M // 8, M)) for i in range(phi)]
+        rows.append(tuple(-p[-2] * (phi // (len(p) - 1)) for p in polys))
     return tuple(rows)
+
+
+def _normalized(coeffs: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    g = gcd(den, *coeffs)
+    if g != 1:
+        return tuple(c // g for c in coeffs), den // g
+    return tuple(coeffs), den
 
 
 def _check_modulus(M: int) -> None:
@@ -135,184 +165,111 @@ def _check_modulus(M: int) -> None:
 
 
 class CycloScalar:
-    """An element of Q(zeta_M) with M divisible by 8."""
+    """An element of Q(zeta_M) with M divisible by 8, stored as
+    ``sum(coeffs[i] * z^i for i < phi(M)) / den`` in lowest terms."""
 
-    __slots__ = ("modulus", "_terms", "_shift", "_canon")
+    __slots__ = ("modulus", "coeffs", "den")
 
-    def __init__(self, modulus: int, terms: Optional[dict] = None, shift: int = 0):
+    def __init__(self, modulus: int, terms: Optional[dict] = None):
+        """``terms`` maps exponents (any integer, taken mod M) to rationals."""
         _check_modulus(modulus)
+        fracs = [(e % modulus, Fraction(c)) for e, c in (terms or {}).items()]
+        den = lcm(*(c.denominator for _, c in fracs))
+        buf = [0] * (1 + max((e for e, _ in fracs), default=0))
+        for e, c in fracs:
+            buf[e] += c.numerator * (den // c.denominator)
         self.modulus = modulus
-        self._shift = shift
-        self._canon: Optional[tuple[Fraction, ...]] = None
-        clean: dict[int, Rational] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    ee = e % modulus
-                    cur = clean.get(ee, 0)
-                    clean[ee] = cur + c
-            clean = {e: c for e, c in clean.items() if c}
-        self._terms = clean
+        self.coeffs, self.den = _normalized(_reduce(modulus, buf), den)
 
     @classmethod
-    def _raw(cls, modulus: int, terms: dict, shift: int) -> "CycloScalar":
-        """Internal constructor: terms already reduced mod M and zero-free."""
+    def _make(cls, modulus: int, coeffs: list[int], den: int) -> "CycloScalar":
+        """Internal constructor from reduced power-basis coefficients."""
         out = object.__new__(cls)
         out.modulus = modulus
-        out._terms = terms
-        out._shift = shift
-        out._canon = None
+        out.coeffs, out.den = _normalized(coeffs, den)
         return out
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(M: int) -> "CycloScalar":
-        _check_modulus(M)
-        return CycloScalar._raw(M, {}, 0)
+        return CycloScalar(M)
 
     @staticmethod
     def one(M: int) -> "CycloScalar":
-        _check_modulus(M)
-        return CycloScalar._raw(M, {0: 1}, 0)
+        return CycloScalar(M, {0: 1})
 
     @staticmethod
     def from_rational(value: Rational, M: int) -> "CycloScalar":
-        return CycloScalar(M, {0: Fraction(value) if not isinstance(value, int) else value})
+        return CycloScalar(M, {0: value})
 
     @staticmethod
     def zeta_power(M: int, exponent: int) -> "CycloScalar":
-        _check_modulus(M)
-        return CycloScalar._raw(M, {exponent % M: 1}, 0)
+        return CycloScalar(M, {exponent: 1})
 
     # -- ring operations ---------------------------------------------------
 
     def _lifted_pair(self, other: "CycloScalar") -> tuple["CycloScalar", "CycloScalar"]:
         if self.modulus == other.modulus:
             return self, other
-        M = self.modulus * other.modulus // gcd(self.modulus, other.modulus)
+        M = lcm(self.modulus, other.modulus)
         return lift_modulus(self, M), lift_modulus(other, M)
 
     def __add__(self, other: "CycloScalar") -> "CycloScalar":
         a, b = self._lifted_pair(other)
-        sa, sb = a._shift, b._shift
-        if sa == sb:
-            shift = sa
-            terms = dict(a._terms)
-            for e, c in b._terms.items():
-                cur = terms.get(e, 0)
-                cur = cur + c
-                if cur:
-                    terms[e] = cur
-                else:
-                    del terms[e]
-        elif sa > sb:
-            shift = sa
-            mult = 1 << (sa - sb)
-            terms = dict(a._terms)
-            for e, c in b._terms.items():
-                cur = terms.get(e, 0) + c * mult
-                if cur:
-                    terms[e] = cur
-                else:
-                    del terms[e]
-        else:
-            shift = sb
-            mult = 1 << (sb - sa)
-            terms = {e: c * mult for e, c in a._terms.items()}
-            for e, c in b._terms.items():
-                cur = terms.get(e, 0) + c
-                if cur:
-                    terms[e] = cur
-                else:
-                    del terms[e]
-        return CycloScalar._raw(a.modulus, terms, shift)
+        den = lcm(a.den, b.den)
+        ka, kb = den // a.den, den // b.den
+        return CycloScalar._make(a.modulus, [x * ka + y * kb for x, y in zip(a.coeffs, b.coeffs)],
+                                 den)
 
     def __sub__(self, other: "CycloScalar") -> "CycloScalar":
         return self + (-other)
 
     def __neg__(self) -> "CycloScalar":
-        return CycloScalar._raw(self.modulus, {e: -c for e, c in self._terms.items()}, self._shift)
+        return CycloScalar._make(self.modulus, [-c for c in self.coeffs], self.den)
 
     def __mul__(self, other: "CycloScalar") -> "CycloScalar":
         a, b = self._lifted_pair(other)
-        M = a.modulus
-        terms: dict[int, Rational] = {}
-        for e1, c1 in a._terms.items():
-            for e2, c2 in b._terms.items():
-                e = e1 + e2
-                if e >= M:
-                    e -= M
-                cur = terms.get(e, 0)
-                cur = cur + c1 * c2
-                if cur:
-                    terms[e] = cur
-                else:
-                    del terms[e]
-        return CycloScalar._raw(M, terms, a._shift + b._shift)
+        nz = [(j, y) for j, y in enumerate(b.coeffs) if y]
+        buf = [0] * (2 * len(a.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in nz:
+                    buf[i + j] += x * y
+        return CycloScalar._make(a.modulus, _reduce(a.modulus, buf), a.den * b.den)
 
     def __bool__(self) -> bool:
-        # empty term map is definitely zero; a non-empty one may still cancel,
-        # callers use this only as a fast skip
-        return bool(self._terms)
+        return any(self.coeffs)
 
     def scale(self, factor: Rational) -> "CycloScalar":
         f = Fraction(factor)
-        if not f:
-            return CycloScalar.zero(self.modulus)
-        shift = self._shift
-        den = f.denominator
-        while den % 2 == 0:
-            den //= 2
-            shift += 1
-        mult: Rational = f.numerator if den == 1 else Fraction(f.numerator, den)
-        return CycloScalar._raw(self.modulus, {e: c * mult for e, c in self._terms.items()}, shift)
+        return CycloScalar._make(self.modulus, [c * f.numerator for c in self.coeffs],
+                                 self.den * f.denominator)
 
     def is_zero(self) -> bool:
-        if not self._terms:
-            return True
-        return all(c == 0 for c in self.canonical())
+        return not any(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycloScalar):
             return NotImplemented
         a, b = self._lifted_pair(other)
-        if a._terms == b._terms and a._shift == b._shift:
-            return True
-        return (a - b).is_zero()
+        return a.coeffs == b.coeffs and a.den == b.den
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self.canonical()))
+        scale = self.den * euler_phi(self.modulus)
+        return hash(tuple(Fraction(sum(map(mul, self.coeffs, row)), scale)
+                          for row in _hash_weights(self.modulus)))
 
     # -- canonical form ----------------------------------------------------
 
     def canonical(self) -> tuple[Fraction, ...]:
         """Coefficients over the power basis 1, z, ..., z^(phi(M)-1)."""
-        if self._canon is None:
-            phi = euler_phi(self.modulus)
-            dense: list[Rational] = [0] * phi
-            rows = None
-            for e, c in self._terms.items():
-                if e < phi:
-                    dense[e] += c
-                else:
-                    if rows is None:
-                        rows = _reduction_rows(self.modulus)
-                    row = rows[e - phi]
-                    for i, r in enumerate(row):
-                        if r:
-                            dense[i] += c * r
-            den = 1 << self._shift
-            self._canon = tuple(Fraction(c, den) if not isinstance(c, Fraction) else c / den
-                                for c in dense)
-        return self._canon
+        return tuple(Fraction(c, self.den) for c in self.coeffs)
 
     def to_complex(self) -> complex:
         M = self.modulus
-        acc = complex(0)
-        for e, c in self._terms.items():
-            acc += complex(c) * cmath.exp(2j * cmath.pi * e / M)
-        return acc / (1 << self._shift)
+        return sum((c * cmath.exp(2j * cmath.pi * i / M) for i, c in enumerate(self.coeffs) if c),
+                   0j) / self.den
 
     def __str__(self) -> str:
         coeffs = self.canonical()
@@ -340,7 +297,9 @@ def lift_modulus(a: CycloScalar, M2: int) -> CycloScalar:
     if M2 % a.modulus != 0:
         raise ModulusError(f"cannot lift modulus {a.modulus} to {M2}")
     k = M2 // a.modulus
-    return CycloScalar._raw(M2, {e * k: c for e, c in a._terms.items()}, a._shift)
+    buf = [0] * (k * (len(a.coeffs) - 1) + 1)
+    buf[::k] = a.coeffs
+    return CycloScalar._make(M2, _reduce(M2, buf), a.den)
 
 
 def root_of_unity(num: int, den: int, M: int) -> CycloScalar:
@@ -355,8 +314,7 @@ def root_of_unity(num: int, den: int, M: int) -> CycloScalar:
 
 def sqrt_two(M: int) -> CycloScalar:
     """sqrt(2) as zeta_M^(M/8) + zeta_M^(7M/8); squares exactly to 2."""
-    _check_modulus(M)
-    return CycloScalar._raw(M, {M // 8: 1, 7 * M // 8: 1}, 0)
+    return CycloScalar(M, {M // 8: 1, 7 * M // 8: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -420,27 +378,7 @@ def membership_solve(target: CycloScalar, generator_order: int) -> Optional[list
     K = generator_order
     if K < 1 or M % K != 0:
         raise ModulusError(f"subfield order {K} does not divide modulus {M}")
-    phi_k = euler_phi(K)
-    basis = [CycloScalar.zeta_power(M, j * (M // K)).canonical() for j in range(phi_k)]
-    t = target.canonical()
-    dim = len(t)
-    den = 1
-    for vec in basis + [t]:
-        for c in vec:
-            den = den * c.denominator // gcd(den, c.denominator)
-    matrix = [[int(basis[j][i] * den) for j in range(phi_k)] for i in range(dim)]
-    rhs = [int(t[i] * den) for i in range(dim)]
-    return _solve_exact(matrix, rhs)
-
-
-def field_arithmetic(a: CycloScalar, b: CycloScalar, op: str):
-    """Dispatch add | mul | neg | eq (neg ignores ``b``)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "eq":
-        return a == b
-    raise ValueError(f"unknown field operation {op!r}")
+    basis = [CycloScalar.zeta_power(M, j * (M // K)).coeffs for j in range(euler_phi(K))]
+    # powers of zeta have integer coordinates, so only the target's den remains
+    sol = _solve_exact([list(row) for row in zip(*basis)], list(target.coeffs))
+    return None if sol is None else [x / target.den for x in sol]

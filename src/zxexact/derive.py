@@ -453,6 +453,8 @@ def apply_step(host: Diagram, step: DerivationStep, step_index: int = 0,
     """Apply one step to the host; raises on any rejection."""
     if step.rule == TWINS_RULE:
         n = step.bindings.get("n")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise TwinError(f"twin step needs a positive integer count n, got {n!r}")
         ids = [step.embedding.node_map[f"t{k}"] for k in range(n)
                if f"t{k}" in step.embedding.node_map]
         if len(ids) != n:

@@ -458,9 +458,11 @@ def phase_from_json(obj: object) -> Phase:
     if isinstance(obj, str):
         return PiRational.parse(obj)
     if isinstance(obj, dict) and "float" in obj:
-        return normalize_float_phase(float(obj["float"]))
-    if isinstance(obj, (int, float)):
-        return PiRational(int(obj))
+        x = obj["float"]
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            return normalize_float_phase(float(x))
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return PiRational(obj)
     raise DiagramError(f"bad phase value {obj!r}")
 
 

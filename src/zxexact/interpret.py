@@ -57,18 +57,6 @@ class _ExactRing:
             self._inv_pows[k] = out
         return out
 
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
 
 _RING_CACHE: dict[int, _ExactRing] = {}
 
@@ -92,18 +80,6 @@ class _FloatRing:
     @staticmethod
     def inv_sqrt2_pow(k: int) -> complex:
         return complex(2 ** (-k / 2.0))
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
 
 
 def choose_modulus(d: Diagram) -> int:
@@ -148,15 +124,15 @@ def _spider_tensor_fresh(kind_name: str, phase: Phase, degree: int, ring) -> tup
     size = 1 << degree
     if kind_name == Z:
         if degree == 0:
-            return (ring.add(ring.one, ph),)
+            return (ring.one + ph,)
         data = [ring.zero] * size
         data[0] = ring.one
         data[size - 1] = ph
         return tuple(data)
     # X spider: (1/sqrt2)^degree * (1 + e^{ia} * (-1)^popcount)
     scale = ring.inv_sqrt2_pow(degree)
-    plus = ring.mul(scale, ring.add(ring.one, ph))
-    minus = ring.mul(scale, ring.add(ring.one, ring.neg(ph)))
+    plus = scale * (ring.one + ph)
+    minus = scale * (ring.one - ph)
     return tuple(plus if bin(i).count("1") % 2 == 0 else minus for i in range(size))
 
 
@@ -176,7 +152,7 @@ def _hbox_tensor(ring) -> tuple:
     data = _TENSOR_CACHE.get(key)
     if data is None:
         s = ring.inv_sqrt2_pow(1)
-        data = _TENSOR_CACHE[key] = (s, s, s, ring.neg(s))
+        data = _TENSOR_CACHE[key] = (s, s, s, -s)
     return data
 
 
@@ -234,7 +210,7 @@ def _self_trace(t: _Tensor, ring) -> _Tensor:
             for bit in range(m):
                 if (idx >> (m - 1 - bit)) & 1:
                     base += rest_strides[bit]
-            data[idx] = ring.add(t.data[base], t.data[base + si + sj])
+            data[idx] = t.data[base] + t.data[base + si + sj]
         t = _Tensor(rest, data)
 
 
@@ -262,7 +238,6 @@ def _contract_pair(t1: _Tensor, t2: _Tensor, ring, max_rank: int) -> _Tensor:
     sh1, sh2 = _bases(shared, s1), _bases(shared, s2)
     n_f2 = 1 << len(f2)
     data = [ring.zero] * ((1 << len(f1)) * n_f2)
-    add, mul = ring.add, ring.mul
     d1, d2 = t1.data, t2.data
     for i1, base1 in enumerate(b1):
         row = i1 * n_f2
@@ -273,8 +248,8 @@ def _contract_pair(t1: _Tensor, t2: _Tensor, ring, max_rank: int) -> _Tensor:
                 v2 = d2[base2 + o2]
                 if not v2:
                     continue
-                term = mul(v1, v2)
-                acc = term if acc is None else add(acc, term)
+                term = v1 * v2
+                acc = term if acc is None else acc + term
             if acc is not None:
                 data[row + i2] = acc
     return _Tensor(f1 + f2, data)

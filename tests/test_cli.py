@@ -45,6 +45,16 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     assert run(["interpret", str(path)]) == 2
 
 
+@pytest.mark.parametrize("phase", [0.25, True, {"float": True}, {"float": "0.5"}])
+def test_coerced_phase_literal_exits_two(tmp_path, phase):
+    path = tmp_path / "phase.zx"
+    path.write_text(json.dumps({"inputs": [], "outputs": [], "edges": [],
+                                "nodes": [{"id": "g", "kind": "Z", "phase": phase}]}),
+                    encoding="utf-8")
+    assert run(["interpret", str(path)]) == 2
+    assert run(["interpret", str(path), "--backend", "float"]) == 2
+
+
 def test_missing_file_exits_two():
     assert run(["interpret", "/nonexistent/file.zx"]) == 2
 

@@ -141,6 +141,51 @@ def test_integer_embedding_is_a_ring_hom(x, y, z):
     assert embed(x) + embed(y) * embed(z) == embed(x + y * z)
 
 
+ORACLE_MODULI = (8, 24, 40, 104, 312)
+
+
+@st.composite
+def _moduli_and_terms(draw):
+    M = draw(st.sampled_from(ORACLE_MODULI))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    terms = st.dictionaries(st.integers(0, M - 1), coeff, max_size=5)
+    return M, draw(terms), draw(terms)
+
+
+def _evaluate(M, terms):
+    """The value of a term dict, computed apart from CycloScalar."""
+    return sum(complex(c) * cmath.exp(2j * cmath.pi * e / M) for e, c in terms.items())
+
+
+@given(_moduli_and_terms())
+@settings(max_examples=80, deadline=None)
+def test_ops_agree_with_complex_oracle(case):
+    M, ta, tb = case
+    a, b = CycloScalar(M, ta), CycloScalar(M, tb)
+    za, zb = _evaluate(M, ta), _evaluate(M, tb)
+    assert abs(a.to_complex() - za) < 1e-9
+    assert abs((a * b).to_complex() - za * zb) < 1e-9
+    assert abs((a + b).to_complex() - (za + zb)) < 1e-9
+    assert abs((-a).to_complex() + za) < 1e-9
+    for x in (a, b, a * b, a + b, -a, a - a):
+        assert bool(x) == (not x.is_zero())
+
+
+def test_bool_is_exact():
+    assert bool(CycloScalar(8, {1: 1, 5: 1})) is False
+    assert bool(CycloScalar(8, {1: 1})) is True
+
+
+def test_equal_values_hash_equal_across_moduli():
+    for base in (sqrt_two(8), CycloScalar(8, {0: Fraction(1, 3), 1: 2, 3: -1}),
+                 CycloScalar.zeta_power(8, 5) * sqrt_two(8).scale(Fraction(1, 2))):
+        lifted = [lift_modulus(base, M) for M in (8, 16, 24, 48)]
+        assert all(x == base for x in lifted)
+        assert len({hash(x) for x in lifted}) == 1
+        assert len(set(lifted)) == 1
+    assert len({sqrt_two(M) for M in (8, 16, 24, 48)}) == 1
+
+
 def test_scale_with_odd_denominator():
     a = sqrt_two(8).scale(Fraction(2, 3))
     assert a + a + a == sqrt_two(8) * CycloScalar.from_rational(2, 8)

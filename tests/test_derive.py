@@ -16,7 +16,7 @@ from zxexact.derive import (
 )
 from zxexact.interpret import interpret, matrix_compare
 from zxexact.rules import RuleError, instantiate
-from zxexact.bundled import leg
+from zxexact.bundled import leg, load_bundled
 
 
 def _s1_host():
@@ -213,6 +213,15 @@ def _twin_host(n, alpha, neighbour_mult=1):
         for _ in range(neighbour_mult):
             d.add_edge(f"t{k}", "x")
     return d
+
+
+def test_twin_step_without_count_is_rejected():
+    script = load_bundled("sup4_from_sup2")
+    i = next(k for k, step in enumerate(script.steps) if step.rule == "TWINS")
+    del script.steps[i].bindings["n"]
+    verdict = check_derivation(script)
+    assert not verdict.accepted and verdict.failed_step == i
+    assert "positive integer count" in verdict.reason
 
 
 def test_merge_antiphase_twins():

@@ -162,6 +162,45 @@ def test_backend_agreement_random():
         assert err < 1e-9
 
 
+def _clifford_t_chain(qubits: int = 3, layers: int = 20) -> Diagram:
+    """Layers of one H box, phase spiders on the other wires (Z and X
+    alternating, phases cycling through pi/4, 3pi/4, 5pi/4, 7pi/4) and one
+    CNOT-shaped Z-X pair: five nodes per layer on three qubits."""
+    d = Diagram()
+    d.inputs = tuple(f"i{w}" for w in range(qubits))
+    d.outputs = tuple(f"o{w}" for w in range(qubits))
+    end = list(d.inputs)
+
+    def place(w, kind):
+        nid = f"n{len(d.nodes)}"
+        d.nodes[nid] = kind
+        d.add_edge(end[w], nid)
+        end[w] = nid
+        return nid
+
+    for layer in range(layers):
+        for w in range(qubits):
+            if w == layer % qubits:
+                place(w, hbox())
+            else:
+                spider = zspider if (w + layer) % 2 else xspider
+                place(w, spider(PiRational(2 * (len(d.nodes) % 4) + 1, 4)))
+        c = layer % (qubits - 1)
+        d.add_edge(place(c, zspider()), place(c + 1, xspider()))
+    for w in range(qubits):
+        d.add_edge(end[w], d.outputs[w])
+    return d
+
+
+def test_to_complex_keeps_precision_on_long_circuits():
+    d = _clifford_t_chain()
+    assert len(d.nodes) == 100
+    ce = interpret(d).to_complex()
+    cf = interpret(d, backend="float").to_complex()
+    err = max(abs(ce[r][c] - cf[r][c]) for r in range(len(ce)) for c in range(len(ce[0])))
+    assert err < 1e-9
+
+
 # -- invariants ------------------------------------------------------------------
 
 def test_invariant_examples():

@@ -2,14 +2,17 @@
 
 Every node becomes a leg-symmetric tensor (Z spiders are diagonal deltas,
 X spiders their Hadamard conjugates, H boxes the 2x2 Hadamard matrix) and
-every edge an index pairing; boundary ports stay open.  Contraction follows
-a greedy plan that keeps intermediate rank small, with a hard cap.  Entries
-are exact cyclotomic scalars or complex floats depending on the backend.
+every edge an index pairing; boundary ports stay open.  Contraction is
+pairwise, in a greedy order that keeps intermediate rank small, with a hard
+cap; the order is built incrementally, rescoring after each merge only the
+pairs of the new tensor.  Entries are exact cyclotomic scalars or complex
+floats depending on the backend.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,6 +143,8 @@ _TENSOR_CACHE: dict[tuple, tuple] = {}
 
 
 def _spider_tensor(kind: NodeKind, degree: int, ring) -> tuple:
+    if not isinstance(kind.phase, PiRational):  # a float angle rarely recurs: not cached
+        return _spider_tensor_fresh(kind.kind, kind.phase, degree, ring)
     key = (ring.modulus, kind.kind, kind.phase, degree)
     data = _TENSOR_CACHE.get(key)
     if data is None:
@@ -154,29 +159,6 @@ def _hbox_tensor(ring) -> tuple:
         s = ring.inv_sqrt2_pow(1)
         data = _TENSOR_CACHE[key] = (s, s, s, -s)
     return data
-
-
-def _node_axes(d: Diagram) -> tuple[dict[str, list[str]], list[Optional[_Tensor]]]:
-    """Axis names for each node's legs plus delta tensors for port-port wires.
-
-    Edge k between two nodes shares axis ``e<k>``; an edge end at a port is
-    named after the port so the open axis is identifiable.
-    """
-    ports = d.ports()
-    node_axes: dict[str, list[str]] = {n: [] for n in d.nodes}
-    extras: list[_Tensor] = []
-    for k, (a, b) in enumerate(d.edges):
-        a_port, b_port = a in ports, b in ports
-        if a_port and b_port:
-            extras.append(("delta", a, b))  # identity tensor added at build time
-        elif a_port:
-            node_axes[b].append(f"p:{a}")
-        elif b_port:
-            node_axes[a].append(f"p:{b}")
-        else:
-            node_axes[a].append(f"e{k}")
-            node_axes[b].append(f"e{k}")
-    return node_axes, extras
 
 
 def _strides(axes: list[str]) -> dict[str, int]:
@@ -227,9 +209,10 @@ def _bases(free_axes: list[str], strides: dict[str, int]) -> list[int]:
 
 
 def _contract_pair(t1: _Tensor, t2: _Tensor, ring, max_rank: int) -> _Tensor:
-    shared = [a for a in t1.axes if a in set(t2.axes)]
-    f1 = [a for a in t1.axes if a not in shared]
-    f2 = [a for a in t2.axes if a not in shared]
+    in1, in2 = set(t1.axes), set(t2.axes)
+    shared = [a for a in t1.axes if a in in2]
+    f1 = [a for a in t1.axes if a not in in2]
+    f2 = [a for a in t2.axes if a not in in1]
     if len(f1) + len(f2) > max_rank:
         raise ResourceLimitError(
             f"contraction result rank {len(f1) + len(f2)} exceeds cap {max_rank}")
@@ -264,35 +247,65 @@ class ContractionPlan:
 
 
 def _plan_greedy(axes_list: list[list[str]], max_rank: int) -> ContractionPlan:
-    """Greedy pairwise order minimizing intermediate rank."""
-    pool: dict[int, set[str]] = {i: set(a) for i, a in enumerate(axes_list)}
-    # duplicated axes within one tensor resolve to the deduplicated open set
-    steps: list[tuple[int, int]] = []
-    for i, axes in enumerate(axes_list):
+    """Greedy pairwise order minimizing intermediate rank.
+
+    Merging tensors i and j leaves the symmetric difference of their axis
+    sets under the next free id, so an axis repeated within one list (a
+    self-loop) counts once and stays open.  Each step merges the live pair
+    with the least ``(result rank, i, j)`` among pairs sharing an axis, or,
+    when none share one, the least ``(|A| + |B|, i, j)``.  An index from
+    each axis to its live holders seeds a heap with the sharing pairs; a
+    merge pushes only the new tensor's pairs and drops consumed ones lazily.
+    Once the heap is empty no live pair shares an axis, and none will again.
+    """
+    for axes in axes_list:
         if len(axes) > max_rank:
             raise ResourceLimitError(
                 f"node tensor rank {len(axes)} exceeds cap {max_rank}")
-    peak = max((len(s) for s in pool.values()), default=0)
-    next_id = len(axes_list)
-    while len(pool) > 1:
-        best = None
-        ids = sorted(pool)
-        for ii, i in enumerate(ids):
-            for j in ids[ii + 1:]:
-                shared = pool[i] & pool[j]
-                rank = len(pool[i] | pool[j]) - len(shared)
-                key = (0 if shared else 1, rank, i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        _, i, j = best
-        rank = len((pool[i] | pool[j]) - (pool[i] & pool[j]))
+    n = len(axes_list)
+    if n < 2:
+        return ContractionPlan([], len(set(axes_list[0])) if n else 0)
+    if n == 2:  # the common case has one possible step: build no index or heap
+        a, b = map(set, axes_list)
+        rank = len(a ^ b)
+        if rank > max_rank:
+            raise ResourceLimitError(f"planned rank {rank} exceeds cap {max_rank}")
+        return ContractionPlan([(0, 1)], max(len(a), len(b), rank))
+    sets: list[Optional[set[str]]] = [set(a) for a in axes_list]
+    peak = max(map(len, sets))
+
+    holders: dict[str, set[int]] = {}
+    for i, s in enumerate(sets):
+        for a in s:
+            holders.setdefault(a, set()).add(i)
+    heap = [(len(s ^ sets[j]), i, j) for i, s in enumerate(sets)
+            for j in {j for a in s for j in holders[a] if j > i}]
+    heapq.heapify(heap)
+    steps: list[tuple[int, int]] = []
+    for _ in range(len(sets) - 1):
+        while heap and (sets[heap[0][1]] is None or sets[heap[0][2]] is None):
+            heapq.heappop(heap)
+        if heap:
+            _, i, j = heapq.heappop(heap)
+        else:
+            live = [(len(s), k) for k, s in enumerate(sets) if s is not None]
+            i, j = sorted(k for _, k in heapq.nsmallest(2, live))
+        merged = sets[i] ^ sets[j]
+        rank = len(merged)
         if rank > max_rank:
             raise ResourceLimitError(f"planned rank {rank} exceeds cap {max_rank}")
         peak = max(peak, rank)
-        pool[next_id] = (pool[i] | pool[j]) - (pool[i] & pool[j])
+        for k in (i, j):
+            for a in sets[k]:
+                holders[a].discard(k)
+            sets[k] = None
+        new = len(sets)
+        for k in {k for a in merged for k in holders[a]}:
+            heapq.heappush(heap, (len(merged ^ sets[k]), k, new))
+        for a in merged:
+            holders[a].add(new)
+        sets.append(merged)
         steps.append((i, j))
-        del pool[i], pool[j]
-        next_id += 1
     return ContractionPlan(steps, peak)
 
 
@@ -456,46 +469,55 @@ def _split_high_degree(d: Diagram, limit: int) -> Diagram:
     return out
 
 
-def plan_contraction(d: Diagram, max_rank: int = DEFAULT_MAX_RANK) -> ContractionPlan:
+def _tensor_axes(d: Diagram, max_rank: int) -> tuple[Diagram, list[str], list[list[str]]]:
+    """Split spiders above the degree limit and name every tensor's axes.
+
+    Returns the split diagram, its sorted node ids, and one axis list per
+    node in that order followed by one per port-to-port wire (an identity).
+    Edge k between two nodes shares axis ``e<k>``; an edge end at a port is
+    named after the port so the open axis is identifiable.
+    """
     d = _split_high_degree(d, max(3, min(8, max_rank)))
-    node_axes, extras = _node_axes(d)
-    axes_list = [node_axes[n] for n in sorted(d.nodes)]
-    for marker in extras:
-        axes_list.append([f"p:{marker[1]}", f"p:{marker[2]}"])
-    if not axes_list:
-        return ContractionPlan([], 0)
-    return _plan_greedy(axes_list, max_rank)
+    ports = d.ports()
+    node_axes: dict[str, list[str]] = {n: [] for n in d.nodes}
+    wires: list[list[str]] = []
+    for k, (a, b) in enumerate(d.edges):
+        a_port, b_port = a in ports, b in ports
+        if a_port and b_port:
+            if a == b:
+                raise BackendError("a boundary port cannot loop onto itself")
+            wires.append([f"p:{a}", f"p:{b}"])
+        elif a_port:
+            node_axes[b].append(f"p:{a}")
+        elif b_port:
+            node_axes[a].append(f"p:{b}")
+        else:
+            node_axes[a].append(f"e{k}")
+            node_axes[b].append(f"e{k}")
+    node_order = sorted(d.nodes)
+    return d, node_order, [node_axes[n] for n in node_order] + wires
+
+
+def plan_contraction(d: Diagram, max_rank: int = DEFAULT_MAX_RANK) -> ContractionPlan:
+    """The contraction order and peak rank that ``interpret`` follows for ``d``."""
+    return _plan_greedy(_tensor_axes(d, max_rank)[2], max_rank)
 
 
 def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK) -> SemanticMatrix:
     """Contract the diagram to its 2^m x 2^n standard-interpretation matrix."""
     ensure_valid(d)
     ring = _ring_for(d, backend)
-    d = _split_high_degree(d, max(3, min(8, max_rank)))
-    node_axes, extras = _node_axes(d)
-
-    node_order = sorted(d.nodes)
-    axes_list = [node_axes[n] for n in node_order]
-    for marker in extras:
-        _, a, b = marker
-        if a == b:
-            raise BackendError("a boundary port cannot loop onto itself")
-        axes_list.append([f"p:{a}", f"p:{b}"])
-    plan = _plan_greedy(axes_list, max_rank) if axes_list else None
+    d, node_order, axes_list = _tensor_axes(d, max_rank)
+    plan = _plan_greedy(axes_list, max_rank)
 
     tensors: list[_Tensor] = []
-    for n in node_order:
+    for n, axes in zip(node_order, axes_list):
         kind = d.nodes[n]
-        degree = len(node_axes[n])  # self-loop axes already appear twice
-        if kind.kind == H:
-            data = _hbox_tensor(ring)
-        else:
-            data = _spider_tensor(kind, degree, ring)
-        tensors.append(_self_trace(_Tensor(list(node_axes[n]), data), ring))
-    for marker in extras:
-        _, a, b = marker
-        tensors.append(_Tensor([f"p:{a}", f"p:{b}"],
-                               [ring.one, ring.zero, ring.zero, ring.one]))
+        # self-loop axes appear twice, so len(axes) is the degree
+        data = _hbox_tensor(ring) if kind.kind == H else _spider_tensor(kind, len(axes), ring)
+        tensors.append(_self_trace(_Tensor(axes, data), ring))
+    identity = [ring.one, ring.zero, ring.zero, ring.one]
+    tensors += [_Tensor(axes, identity) for axes in axes_list[len(node_order):]]
 
     if tensors:
         pool: dict[int, _Tensor] = dict(enumerate(tensors))

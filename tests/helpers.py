@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from zxexact.diagram import Diagram, PiRational, hbox, xspider, zspider
+from zxexact.interpret import ContractionPlan, ResourceLimitError
 
 
 def random_diagram(rng: random.Random, max_nodes: int = 6, den: int = 4,
@@ -68,3 +69,38 @@ def random_diagram(rng: random.Random, max_nodes: int = 6, den: int = 4,
     d.inputs = tuple(inputs)
     d.outputs = tuple(outputs)
     return d
+
+
+def plan_greedy_reference(axes_list: list[list[str]], max_rank: int) -> ContractionPlan:
+    """The greedy contraction order by brute force: at every step, score every
+    live pair by ``(0 if they share an axis else 1, result rank, i, j)`` and
+    merge the least.  O(n^3); the oracle for ``interpret._plan_greedy``."""
+    pool: dict[int, set[str]] = {i: set(a) for i, a in enumerate(axes_list)}
+    # duplicated axes within one tensor resolve to the deduplicated open set
+    steps: list[tuple[int, int]] = []
+    for i, axes in enumerate(axes_list):
+        if len(axes) > max_rank:
+            raise ResourceLimitError(
+                f"node tensor rank {len(axes)} exceeds cap {max_rank}")
+    peak = max((len(s) for s in pool.values()), default=0)
+    next_id = len(axes_list)
+    while len(pool) > 1:
+        best = None
+        ids = sorted(pool)
+        for ii, i in enumerate(ids):
+            for j in ids[ii + 1:]:
+                shared = pool[i] & pool[j]
+                rank = len(pool[i] | pool[j]) - len(shared)
+                key = (0 if shared else 1, rank, i, j)
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        _, i, j = best
+        rank = len((pool[i] | pool[j]) - (pool[i] & pool[j]))
+        if rank > max_rank:
+            raise ResourceLimitError(f"planned rank {rank} exceeds cap {max_rank}")
+        peak = max(peak, rank)
+        pool[next_id] = (pool[i] | pool[j]) - (pool[i] & pool[j])
+        steps.append((i, j))
+        del pool[i], pool[j]
+        next_id += 1
+    return ContractionPlan(steps, peak)

@@ -1,10 +1,13 @@
 """Standard interpretation: generator matrices, contraction, invariants."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zxexact.cyclotomic import CycloScalar, membership_solve, sqrt_two
 from zxexact.diagram import (
@@ -17,7 +20,10 @@ from zxexact.interpret import (
     plan_contraction,
 )
 
-from helpers import random_diagram
+from helpers import plan_greedy_reference, random_diagram
+
+# the package re-exports interpret() under the module's own name
+interp = importlib.import_module("zxexact.interpret")
 
 ONE = CycloScalar.one(8)
 ZEROS = CycloScalar.zero(8)
@@ -149,6 +155,74 @@ def test_resource_cap():
         interpret(d, max_rank=4)
     plan = plan_contraction(make_spider(Z, PiRational(0), 2, 2))
     assert plan.peak_rank <= 4
+
+
+# -- contraction planner ------------------------------------------------------------
+
+def _plan_outcome(planner, axes_list, max_rank):
+    try:
+        plan = planner([list(a) for a in axes_list], max_rank)
+    except ResourceLimitError as exc:
+        return str(exc)
+    return plan.steps, plan.peak_rank
+
+
+# a tensor is (component, axis ids): axes of different components never meet,
+# a repeated id is a self-loop, and an id may be carried by three or more tensors
+_axis_lists = st.lists(
+    st.tuples(st.integers(0, 3), st.lists(st.integers(0, 5), max_size=6)),
+    max_size=12,
+).map(lambda ts: [[f"c{c}:{a}" for a in axes] for c, axes in ts])
+
+
+@given(_axis_lists, st.integers(1, 8))
+@settings(max_examples=400, deadline=None)
+@example([], 1)
+@example([["a", "b"]], 2)
+@example([["a", "b"], ["b", "c"]], 2)
+@example([["a", "a", "b"], ["b"], ["c"]], 3)  # self-loop
+@example([["a", "b"], ["b"], ["c", "d"], ["d"], ["e"]], 4)  # three components
+@example([["a", "b", "c"], ["c", "d", "e"], ["a", "f"]], 3)  # cap hit at step 2
+@example([["a", "b", "c"], ["d"]], 2)  # a node tensor above the cap
+def test_planner_matches_reference_scan(axes_list, max_rank):
+    assert (_plan_outcome(interp._plan_greedy, axes_list, max_rank)
+            == _plan_outcome(plan_greedy_reference, axes_list, max_rank))
+
+
+def test_plan_of_long_spider_chain():
+    d = Diagram()
+    d.inputs, d.outputs = ("i",), ("o",)
+    names = [f"n{k:03d}" for k in range(256)]
+    for name in names:
+        d.nodes[name] = zspider(PiRational(1, 4))
+    for a, b in zip(["i"] + names, names + ["o"]):
+        d.add_edge(a, b)
+    plan = plan_contraction(d)
+    assert len(plan.steps) == 255 and plan.peak_rank == 2
+    # 256 phases of pi/4 add up to a multiple of 2 pi: the identity
+    assert matrix_compare(interpret(d), interpret(make_generator("identity"))).equal
+
+
+def test_plan_rejects_port_self_loop():
+    d = Diagram()
+    d.outputs = ("o",)
+    d.add_edge("o", "o")
+    with pytest.raises(BackendError):
+        plan_contraction(d)
+
+
+def test_float_angles_leave_tensor_cache_unchanged():
+    rng = random.Random(31)
+    interpret(make_generator("hbox"), backend="float")
+    before = len(interp._TENSOR_CACHE)
+    for _ in range(60):
+        d = random_diagram(rng, max_nodes=6)
+        for n, kind in d.nodes.items():
+            if kind.kind != "H":
+                spider = zspider if kind.kind == Z else xspider
+                d.nodes[n] = spider(rng.uniform(0, 2 * math.pi))
+        interpret(d, backend="float")
+    assert len(interp._TENSOR_CACHE) == before
 
 
 def test_backend_agreement_random():

@@ -10,8 +10,17 @@ denominator, kept in lowest terms (the gcd of the denominator and all the
 coefficients is 1).  Equality, truth and hashing therefore read the fields
 directly, and ``canonical()`` only divides.  Products multiply the non-zero
 coefficients schoolbook-style and reduce the high part by the sparse tail of
-the cyclotomic polynomial Phi_M.  ``Fraction`` appears only at the edges:
-constructor input, ``scale``, ``canonical`` and subfield membership.
+the cyclotomic polynomial Phi_M, built as a Moebius product of binomials.
+``Fraction`` appears only at the edges: constructor input, ``scale``,
+``canonical`` and subfield membership.
+
+Bulk work uses a second, internal form: coefficient rows, the sparse
+non-zero integer coefficients of many values over one shared denominator
+(``to_rows``).  The exact contraction kernel multiplies rows into one
+integer buffer per output entry and reduces it modulo Phi_M once
+(``reduce_row``), instead of making a scalar per product and per sum;
+``from_row`` turns a row back into a canonical scalar.  The caches keyed by
+a modulus are bounded.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -30,87 +39,80 @@ class ModulusError(ValueError):
     """Raised when a modulus is unsupported or incompatible with a lift."""
 
 
+# Caches keyed by a modulus are bounded.  The four benchmark workloads use
+# at most 12 moduli; the limits leave room for many more without letting a
+# long run over fresh moduli grow memory without end.
+MODULUS_CACHE_SIZE = 128
+
+
 # ---------------------------------------------------------------------------
-# integer polynomial helpers (dense, low-to-high coefficient lists)
+# number theory and cyclotomic polynomials (low-to-high integer coefficients)
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
+def _prime_factors(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of ``n >= 1``, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
     return out
-
-
-def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Divide integer polynomials; ``den`` must be monic."""
-    assert den[-1] == 1, "divisor must be monic"
-    rem = list(num)
-    deg_d = len(den) - 1
-    quot = [0] * max(1, len(num) - deg_d)
-    for k in range(len(rem) - 1 - deg_d, -1, -1):
-        c = rem[k + deg_d]
-        if c == 0:
-            continue
-        quot[k] = c
-        for j, dj in enumerate(den):
-            rem[k + j] -= c * dj
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def euler_phi(n: int) -> int:
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p, _ in _prime_factors(n):
+        result -= result // p
     return result
 
 
-@lru_cache(maxsize=None)
+def _mobius(n: int) -> int:
+    factors = _prime_factors(n)
+    return 0 if any(k > 1 for _, k in factors) else (-1) ** len(factors)
+
+
+@lru_cache(maxsize=MODULUS_CACHE_SIZE)
 def cyclotomic_polynomial(M: int) -> tuple[int, ...]:
-    """Integer coefficients (low to high) of Phi_M, by exact division of
-    X^M - 1 by the product of Phi_d over proper divisors d of M."""
+    """Integer coefficients (low to high) of Phi_M.
+
+    Phi_M(X) = Phi_r(X^(M/r)) for the radical r of M, and Phi_r is the
+    Moebius product of (X^d - 1)^mu(r/d) over the divisors d of r.  Each
+    factor multiplies or exactly divides by a binomial in one linear pass;
+    all multiplications come first, so every quotient is a polynomial."""
     if M < 1:
         raise ModulusError(f"modulus must be positive, got {M}")
-    if M == 1:
-        return (-1, 1)
-    num = [0] * (M + 1)
-    num[0], num[M] = -1, 1
-    den = [1]
-    for d in divisors(M):
-        if d < M:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    quot, rem = _poly_divmod(num, den)
-    assert rem == [0], "X^M - 1 not divisible by product of lower Phi_d"
-    while len(quot) > 1 and quot[-1] == 0:
-        quot.pop()
-    return tuple(quot)
+    primes = [p for p, _ in _prime_factors(M)]
+    r = prod(primes)
+    up, down = [], []  # the divisors d of r with mu(r/d) = +1 and -1
+    for subset in range(1 << len(primes)):
+        q = prod(p for i, p in enumerate(primes) if subset >> i & 1)
+        (down if bin(subset).count("1") % 2 else up).append(r // q)
+    poly = [1]
+    for d in up:
+        out = [0] * (len(poly) + d)
+        for i, c in enumerate(poly):
+            out[i] -= c
+            out[i + d] += c
+        poly = out
+    for d in down:  # poly = q * (X^d - 1), so q_k = q_(k-d) - poly_k
+        q = [0] * (len(poly) - d)
+        for k in range(len(q)):
+            q[k] = (q[k - d] if k >= d else 0) - poly[k]
+        poly = q
+    s = M // r
+    out = [0] * (s * (len(poly) - 1) + 1)
+    out[::s] = poly
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MODULUS_CACHE_SIZE)
 def _phi_tail(M: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """phi(M) and the sparse tail of Phi_M: X^phi = sum of t * X^i over (i, t)."""
     poly = cyclotomic_polynomial(M)
@@ -134,21 +136,83 @@ def _reduce(M: int, buf: list[int]) -> list[int]:
     return buf
 
 
-@lru_cache(maxsize=None)
+# ---------------------------------------------------------------------------
+# coefficient rows: the storage of exact tensors during contraction
+# ---------------------------------------------------------------------------
+# A row is one value's non-zero integer coefficients over the power basis as
+# ``(power, coefficient)`` pairs in increasing power, or None for zero; the
+# rows of one tensor share one positive denominator.  A contraction kernel
+# multiplies rows into a buffer of 2*phi(M) - 1 integers with
+# ``buf[p1 + p2] += c1 * c2`` and reduces each output entry's buffer once.
+
+Row = Optional[tuple[tuple[int, int], ...]]
+
+
+def to_rows(values: Sequence["CycloScalar"]) -> tuple[int, tuple[Row, ...]]:
+    """Values of one modulus as rows over their least common denominator.
+    A value object that recurs gets one shared row."""
+    den = lcm(*(v.den for v in values))
+    rows: dict[int, Row] = {}
+    for v in values:
+        if id(v) not in rows:
+            k = den // v.den
+            rows[id(v)] = tuple((p, c * k) for p, c in enumerate(v.coeffs) if c) or None
+    return den, tuple(rows[id(v)] for v in values)
+
+
+def reduce_row(M: int, buf: list[int]) -> Row:
+    """The row of a product buffer (low to high), reduced modulo Phi_M."""
+    return tuple([(p, c) for p, c in enumerate(_reduce(M, buf)) if c]) or None
+
+
+def add_rows(M: int, a: Row, b: Row) -> Row:
+    """The sum of two rows over the same denominator."""
+    buf = [0] * _phi_tail(M)[0]
+    for p, c in (a or ()) + (b or ()):
+        buf[p] += c
+    return reduce_row(M, buf)
+
+
+def rows_in_lowest_terms(rows: list[Row], den: int) -> int:
+    """Divide the rows (in place) and their denominator by the gcd of all of
+    them; returns the new denominator."""
+    g = gcd(den, *(c for row in rows if row for _, c in row))
+    if g != 1:
+        for k, row in enumerate(rows):
+            if row:
+                rows[k] = tuple([(p, c // g) for p, c in row])
+    return den // g
+
+
+def from_row(M: int, row: Row, den: int) -> "CycloScalar":
+    """The canonical scalar of a row over ``den``."""
+    coeffs = [0] * _phi_tail(M)[0]
+    for p, c in row or ():
+        coeffs[p] = c
+    return CycloScalar._make(M, coeffs, den)
+
+
+@lru_cache(maxsize=MODULUS_CACHE_SIZE)
 def _hash_weights(M: int) -> tuple[tuple[int, ...], ...]:
     """Row j, entry i: the trace over Q of z^i * zeta_8^(-j), a primitive n-th
     root of unity with n = M / gcd(i - j*M/8, M).  That trace is phi(M)/phi(n)
-    times the sum of the primitive n-th roots, which is minus the sub-leading
-    coefficient of Phi_n.
+    times the sum of the primitive n-th roots, which is mu(n).
 
     Traces divided by phi(M) do not change when a value is lifted to a larger
     modulus, and the four rows together determine the projection of a value
     onto Q(zeta_8), so every M=8 value hashes by its whole content."""
     phi = euler_phi(M)
+    traces: dict[int, int] = {}  # by n: a handful of divisors of M
     rows = []
     for j in range(4):
-        polys = [cyclotomic_polynomial(M // gcd(i - j * M // 8, M)) for i in range(phi)]
-        rows.append(tuple(-p[-2] * (phi // (len(p) - 1)) for p in polys))
+        row = []
+        for i in range(phi):
+            n = M // gcd(i - j * M // 8, M)
+            t = traces.get(n)
+            if t is None:
+                t = traces[n] = _mobius(n) * (phi // euler_phi(n))
+            row.append(t)
+        rows.append(tuple(row))
     return tuple(rows)
 
 

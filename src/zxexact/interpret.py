@@ -5,8 +5,17 @@ X spiders their Hadamard conjugates, H boxes the 2x2 Hadamard matrix) and
 every edge an index pairing; boundary ports stay open.  Contraction is
 pairwise, in a greedy order that keeps intermediate rank small, with a hard
 cap; the order is built incrementally, rescoring after each merge only the
-pairs of the new tensor.  Entries are exact cyclotomic scalars or complex
-floats depending on the backend.
+pairs of the new tensor.
+
+The float backend stores complex entries.  The exact backend stores each
+tensor as one integer denominator and, per entry, a sparse row of integer
+coefficients over the power basis of Q(zeta_M) (``cyclotomic.to_rows``).
+A contraction collects the schoolbook products of an output entry in one
+integer buffer, reduces it modulo Phi_M once, and divides the result's
+rows and denominator by their common gcd, so integers do not grow along
+long chains.  Leaf tensors are cached in this form; ``CycloScalar``s are
+made only for the final matrix and for ``node_tensor``.  Both backends
+share the axis bookkeeping of a contraction.
 """
 
 from __future__ import annotations
@@ -14,11 +23,15 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .cyclotomic import CycloScalar, lift_modulus, root_of_unity, sqrt_two
+from .cyclotomic import (
+    CycloScalar, add_rows, euler_phi, from_row, lift_modulus, reduce_row, root_of_unity,
+    rows_in_lowest_terms, sqrt_two, to_rows,
+)
 from .diagram import (
     Diagram, NodeKind, Phase, PiRational, H, X, Z, _norm_edge,
     ensure_valid, phase_is_exact, phase_radians,
@@ -39,14 +52,36 @@ class ResourceLimitError(RuntimeError):
 # ---------------------------------------------------------------------------
 # scalar backends
 # ---------------------------------------------------------------------------
+# A ring builds leaf tensors from its scalars and stores tensors in its own
+# form: ``pack`` turns a leaf's scalars into ``(den, data)`` and ``unpack``
+# turns stored data back into scalars.  The exact ring stores coefficient
+# rows over one denominator per tensor (see ``cyclotomic.to_rows``); the
+# float ring stores plain complex numbers and a denominator of 1.
+
+# Bounds of the module caches: the four benchmark workloads use at most 10
+# rings and about 2,000 leaf tensors.
+RING_CACHE_SIZE = 64
+TENSOR_CACHE_SIZE = 4096
+
+
+def _bounded_put(cache: dict, key, value, limit: int):
+    """Store ``value`` under ``key``, first dropping the oldest entry if the
+    cache holds ``limit`` of them; returns ``value``."""
+    if len(cache) >= limit:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
 
 class _ExactRing:
     def __init__(self, modulus: int):
         self.modulus = modulus
         self.zero = CycloScalar.zero(modulus)
         self.one = CycloScalar.one(modulus)
+        self.width = 2 * euler_phi(modulus) - 1  # a product buffer of two rows
         self._inv_sqrt2 = sqrt_two(modulus).scale(Fraction(1, 2))
         self._inv_pows: dict[int, CycloScalar] = {0: self.one, 1: self._inv_sqrt2}
+        self.identity = to_rows([self.one, self.zero, self.zero, self.one])
 
     def phase(self, phase: Phase) -> CycloScalar:
         if not isinstance(phase, PiRational):
@@ -60,6 +95,14 @@ class _ExactRing:
             self._inv_pows[k] = out
         return out
 
+    pack = staticmethod(to_rows)
+
+    def unpack(self, den: int, data: list) -> list[CycloScalar]:
+        return [from_row(self.modulus, row, den) for row in data]
+
+    def add(self, a, b):
+        return add_rows(self.modulus, a, b)
+
 
 _RING_CACHE: dict[int, _ExactRing] = {}
 
@@ -67,7 +110,7 @@ _RING_CACHE: dict[int, _ExactRing] = {}
 def _exact_ring(modulus: int) -> _ExactRing:
     ring = _RING_CACHE.get(modulus)
     if ring is None:
-        ring = _RING_CACHE[modulus] = _ExactRing(modulus)
+        ring = _bounded_put(_RING_CACHE, modulus, _ExactRing(modulus), RING_CACHE_SIZE)
     return ring
 
 
@@ -75,6 +118,7 @@ class _FloatRing:
     modulus = None
     zero = complex(0)
     one = complex(1)
+    identity = (1, (one, zero, zero, one))
 
     @staticmethod
     def phase(phase: Phase) -> complex:
@@ -83,6 +127,16 @@ class _FloatRing:
     @staticmethod
     def inv_sqrt2_pow(k: int) -> complex:
         return complex(2 ** (-k / 2.0))
+
+    @staticmethod
+    def pack(values) -> tuple[int, tuple]:
+        return 1, tuple(values)
+
+    @staticmethod
+    def unpack(den: int, data):
+        return data
+
+    add = staticmethod(operator.add)
 
 
 def choose_modulus(d: Diagram) -> int:
@@ -111,11 +165,15 @@ def _ring_for(d: Diagram, backend: str):
 # ---------------------------------------------------------------------------
 
 class _Tensor:
-    __slots__ = ("axes", "data")
+    """Entries over axes (the first axis most significant) in a ring's
+    storage form, all divided by ``den``."""
 
-    def __init__(self, axes: list[str], data: list):
+    __slots__ = ("axes", "data", "den")
+
+    def __init__(self, axes: list[str], data, den: int = 1):
         self.axes = axes
         self.data = data
+        self.den = den
 
     @property
     def rank(self) -> int:
@@ -139,26 +197,33 @@ def _spider_tensor_fresh(kind_name: str, phase: Phase, degree: int, ring) -> tup
     return tuple(plus if bin(i).count("1") % 2 == 0 else minus for i in range(size))
 
 
+# (modulus, kind, phase, degree) -> (den, data) in the ring's storage form
 _TENSOR_CACHE: dict[tuple, tuple] = {}
 
 
 def _spider_tensor(kind: NodeKind, degree: int, ring) -> tuple:
     if not isinstance(kind.phase, PiRational):  # a float angle rarely recurs: not cached
-        return _spider_tensor_fresh(kind.kind, kind.phase, degree, ring)
+        return ring.pack(_spider_tensor_fresh(kind.kind, kind.phase, degree, ring))
     key = (ring.modulus, kind.kind, kind.phase, degree)
-    data = _TENSOR_CACHE.get(key)
-    if data is None:
-        data = _TENSOR_CACHE[key] = _spider_tensor_fresh(kind.kind, kind.phase, degree, ring)
-    return data
+    packed = _TENSOR_CACHE.get(key)
+    if packed is None:
+        packed = _bounded_put(_TENSOR_CACHE, key, ring.pack(
+            _spider_tensor_fresh(kind.kind, kind.phase, degree, ring)), TENSOR_CACHE_SIZE)
+    return packed
 
 
 def _hbox_tensor(ring) -> tuple:
     key = (ring.modulus, H, None, 2)
-    data = _TENSOR_CACHE.get(key)
-    if data is None:
+    packed = _TENSOR_CACHE.get(key)
+    if packed is None:
         s = ring.inv_sqrt2_pow(1)
-        data = _TENSOR_CACHE[key] = (s, s, s, -s)
-    return data
+        packed = _bounded_put(_TENSOR_CACHE, key, ring.pack((s, s, s, -s)), TENSOR_CACHE_SIZE)
+    return packed
+
+
+def _leaf_tensor(kind: NodeKind, degree: int, ring) -> tuple:
+    """(den, data) of a spider or H box with ``degree`` legs."""
+    return _hbox_tensor(ring) if kind.kind == H else _spider_tensor(kind, degree, ring)
 
 
 def _strides(axes: list[str]) -> dict[str, int]:
@@ -186,14 +251,15 @@ def _self_trace(t: _Tensor, ring) -> _Tensor:
         rest = [a for pos, a in enumerate(t.axes) if pos not in (i, j)]
         rest_strides = [1 << (n - 1 - pos) for pos in range(n) if pos not in (i, j)]
         m = len(rest)
-        data = [ring.zero] * (1 << m)
+        data = [None] * (1 << m)
+        add = ring.add
         for idx in range(1 << m):
             base = 0
             for bit in range(m):
                 if (idx >> (m - 1 - bit)) & 1:
                     base += rest_strides[bit]
-            data[idx] = t.data[base] + t.data[base + si + sj]
-        t = _Tensor(rest, data)
+            data[idx] = add(t.data[base], t.data[base + si + sj])
+        t = _Tensor(rest, data, t.den)
 
 
 def _bases(free_axes: list[str], strides: dict[str, int]) -> list[int]:
@@ -209,6 +275,9 @@ def _bases(free_axes: list[str], strides: dict[str, int]) -> list[int]:
 
 
 def _contract_pair(t1: _Tensor, t2: _Tensor, ring, max_rank: int) -> _Tensor:
+    """Sum over the shared axes; the result's axes are t1's free axes, then
+    t2's.  The axis bookkeeping is common to both rings; each has its own
+    inner loop."""
     in1, in2 = set(t1.axes), set(t2.axes)
     shared = [a for a in t1.axes if a in in2]
     f1 = [a for a in t1.axes if a not in in2]
@@ -217,11 +286,16 @@ def _contract_pair(t1: _Tensor, t2: _Tensor, ring, max_rank: int) -> _Tensor:
         raise ResourceLimitError(
             f"contraction result rank {len(f1) + len(f2)} exceeds cap {max_rank}")
     s1, s2 = _strides(t1.axes), _strides(t2.axes)
-    b1, b2 = _bases(f1, s1), _bases(f2, s2)
-    sh1, sh2 = _bases(shared, s1), _bases(shared, s2)
-    n_f2 = 1 << len(f2)
-    data = [ring.zero] * ((1 << len(f1)) * n_f2)
-    d1, d2 = t1.data, t2.data
+    layout = (_bases(f1, s1), _bases(f2, s2), _bases(shared, s1), _bases(shared, s2))
+    if ring.modulus is None:
+        return _Tensor(f1 + f2, _complex_products(t1.data, t2.data, *layout))
+    data = _row_products(t1.data, t2.data, *layout, ring.modulus, ring.width)
+    return _Tensor(f1 + f2, data, rows_in_lowest_terms(data, t1.den * t2.den))
+
+
+def _complex_products(d1, d2, b1, b2, sh1, sh2) -> list[complex]:
+    n_f2 = len(b2)
+    data = [complex(0)] * (len(b1) * n_f2)
     for i1, base1 in enumerate(b1):
         row = i1 * n_f2
         pairs = [(v1, o2) for o1, o2 in zip(sh1, sh2) if (v1 := d1[base1 + o1])]
@@ -235,7 +309,34 @@ def _contract_pair(t1: _Tensor, t2: _Tensor, ring, max_rank: int) -> _Tensor:
                 acc = term if acc is None else acc + term
             if acc is not None:
                 data[row + i2] = acc
-    return _Tensor(f1 + f2, data)
+    return data
+
+
+def _row_products(d1, d2, b1, b2, sh1, sh2, M: int, width: int) -> list:
+    """Each output entry collects its schoolbook products in one integer
+    buffer, reduced modulo Phi_M once; the denominators are left to the
+    caller."""
+    n_f2 = len(b2)
+    data = [None] * (len(b1) * n_f2)
+    for i1, base1 in enumerate(b1):
+        row = i1 * n_f2
+        pairs = [(v1, o2) for o1, o2 in zip(sh1, sh2) if (v1 := d1[base1 + o1])]
+        if not pairs:
+            continue
+        for i2, base2 in enumerate(b2):
+            buf = None
+            for v1, o2 in pairs:
+                v2 = d2[base2 + o2]
+                if v2 is None:
+                    continue
+                if buf is None:
+                    buf = [0] * width
+                for p1, c1 in v1:
+                    for p2, c2 in v2:
+                        buf[p1 + p2] += c1 * c2
+            if buf is not None:
+                data[row + i2] = reduce_row(M, buf)
+    return data
 
 
 @dataclass
@@ -407,6 +508,14 @@ def _lift_matrix(m: SemanticMatrix, M: int) -> SemanticMatrix:
 # interpretation
 # ---------------------------------------------------------------------------
 
+def _as_matrix(flat, axes: list[str], inputs: list[str], outputs: list[str]) -> list[list]:
+    """Reshape entries over ``axes`` into rows over the output axes and
+    columns over the input axes (the first of each most significant)."""
+    strides = _strides(axes)
+    cols = _bases(inputs, strides)
+    return [[flat[r + c] for c in cols] for r in _bases(outputs, strides)]
+
+
 def node_tensor(kind: NodeKind, n_in: int, n_out: int, backend: str = EXACT,
                 modulus: Optional[int] = None) -> SemanticMatrix:
     """The generator matrix for a single spider or H box."""
@@ -416,34 +525,37 @@ def node_tensor(kind: NodeKind, n_in: int, n_out: int, backend: str = EXACT,
         M = modulus
         if M is None:
             M = 8 if (kind.phase is None or not phase_is_exact(kind.phase)) else math.lcm(8, 2 * kind.phase.den)
-        ring = _ExactRing(M)
+        ring = _exact_ring(M)
     else:
-        ring = _FloatRing()
-    degree = n_in + n_out
-    flat = _hbox_tensor(ring) if kind.kind == H else _spider_tensor(kind, degree, ring)
+        ring = _FLOAT_RING
     # legs ordered inputs then outputs; symmetric tensors make the order moot
-    ents = []
-    for r in range(1 << n_out):
-        row = []
-        for c in range(1 << n_in):
-            row.append(flat[(c << n_out) | r])
-        ents.append(row)
-    return SemanticMatrix(ents, n_in, n_out, backend, ring.modulus)
+    inputs = [f"i{k}" for k in range(n_in)]
+    outputs = [f"o{k}" for k in range(n_out)]
+    flat = ring.unpack(*_leaf_tensor(kind, n_in + n_out, ring))
+    return SemanticMatrix(_as_matrix(flat, inputs + outputs, inputs, outputs),
+                          n_in, n_out, backend, ring.modulus)
 
 
 def _split_high_degree(d: Diagram, limit: int) -> Diagram:
     """Spiders of degree above ``limit`` become chains of smaller spiders
-    linked through phase-0 copies of themselves (an exact identity)."""
+    linked through phase-0 copies of themselves (an exact identity).
+
+    Splits go in node order, each helper joining the end of the order; a
+    split leaves its spider at degree ``limit`` and changes no other
+    node's degree, so one pass over degrees counted once finds them all."""
+    if 2 * len(d.edges) <= limit:  # no node can have more than 2 ends per edge
+        return d
+    degree: dict[str, int] = {}
+    for a, b in d.edges:
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
     out = d
+    order = list(d.nodes)
     fresh = 0
-    while True:
-        target = None
-        for n, kind in out.nodes.items():
-            if kind.kind != H and out.degree(n) > limit:
-                target = n
-                break
-        if target is None:
-            return out
+    keep = limit - 1
+    for target in order:
+        if out.nodes[target].kind == H or degree.get(target, 0) <= limit:
+            continue
         if out is d:
             out = d.copy()
         helper = f"{target}~deg{fresh}"
@@ -452,7 +564,6 @@ def _split_high_degree(d: Diagram, limit: int) -> Diagram:
             helper = f"{target}~deg{fresh}"
         fresh += 1
         out.nodes[helper] = NodeKind(out.nodes[target].kind, PiRational(0))
-        keep = limit - 1
         seen = 0
         edges = []
         for a, b in out.edges:
@@ -466,6 +577,9 @@ def _split_high_degree(d: Diagram, limit: int) -> Diagram:
             edges.append(_norm_edge(ends[0], ends[1]))
         out.edges = edges
         out.add_edge(target, helper)
+        degree[helper] = degree[target] - keep + 1
+        degree[target] = limit
+        order.append(helper)
     return out
 
 
@@ -512,12 +626,11 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
 
     tensors: list[_Tensor] = []
     for n, axes in zip(node_order, axes_list):
-        kind = d.nodes[n]
         # self-loop axes appear twice, so len(axes) is the degree
-        data = _hbox_tensor(ring) if kind.kind == H else _spider_tensor(kind, len(axes), ring)
-        tensors.append(_self_trace(_Tensor(axes, data), ring))
-    identity = [ring.one, ring.zero, ring.zero, ring.one]
-    tensors += [_Tensor(axes, identity) for axes in axes_list[len(node_order):]]
+        den, data = _leaf_tensor(d.nodes[n], len(axes), ring)
+        tensors.append(_self_trace(_Tensor(axes, data, den), ring))
+    den, identity = ring.identity
+    tensors += [_Tensor(axes, identity, den) for axes in axes_list[len(node_order):]]
 
     if tensors:
         pool: dict[int, _Tensor] = dict(enumerate(tensors))
@@ -527,28 +640,17 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
             next_id += 1
         final = pool.popitem()[1]
     else:
-        final = _Tensor([], [ring.one])
+        den, one = ring.pack([ring.one])
+        final = _Tensor([], one, den)
 
     # order open axes: inputs then outputs, then reshape to a matrix
-    want = [f"p:{p}" for p in d.inputs] + [f"p:{p}" for p in d.outputs]
-    if sorted(want) != sorted(final.axes):
+    inputs = [f"p:{p}" for p in d.inputs]
+    outputs = [f"p:{p}" for p in d.outputs]
+    if sorted(inputs + outputs) != sorted(final.axes):
         raise AssertionError("open axes do not match boundary ports")
-    strides = _strides(final.axes)
-    n, m = d.n_inputs, d.n_outputs
-    ents = []
-    for r in range(1 << m):
-        row = []
-        for c in range(1 << n):
-            flat = 0
-            for bit in range(n):
-                if (c >> (n - 1 - bit)) & 1:
-                    flat += strides[f"p:{d.inputs[bit]}"]
-            for bit in range(m):
-                if (r >> (m - 1 - bit)) & 1:
-                    flat += strides[f"p:{d.outputs[bit]}"]
-            row.append(final.data[flat])
-        ents.append(row)
-    return SemanticMatrix(ents, n, m, backend, ring.modulus)
+    ents = [ring.unpack(final.den, row)
+            for row in _as_matrix(final.data, final.axes, inputs, outputs)]
+    return SemanticMatrix(ents, d.n_inputs, d.n_outputs, backend, ring.modulus)
 
 
 # ---------------------------------------------------------------------------

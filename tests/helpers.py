@@ -1,10 +1,11 @@
-"""Shared random generators for the property and acceptance tests."""
+"""Shared random generators and reference constructions for the tests."""
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
-from zxexact.diagram import Diagram, PiRational, hbox, xspider, zspider
+from zxexact.diagram import Diagram, NodeKind, PiRational, _norm_edge, hbox, xspider, zspider
 from zxexact.interpret import ContractionPlan, ResourceLimitError
 
 
@@ -104,3 +105,89 @@ def plan_greedy_reference(axes_list: list[list[str]], max_rank: int) -> Contract
         del pool[i], pool[j]
         next_id += 1
     return ContractionPlan(steps, peak)
+
+
+def split_high_degree_reference(d: Diagram, limit: int) -> Diagram:
+    """Split spiders above ``limit`` by rescanning every node's degree (a
+    scan of all edges) after each split; the oracle for
+    ``interpret._split_high_degree``."""
+    out = d
+    fresh = 0
+    while True:
+        target = None
+        for n, kind in out.nodes.items():
+            if kind.kind != "H" and out.degree(n) > limit:
+                target = n
+                break
+        if target is None:
+            return out
+        if out is d:
+            out = d.copy()
+        helper = f"{target}~deg{fresh}"
+        while helper in out.all_ids():
+            fresh += 1
+            helper = f"{target}~deg{fresh}"
+        fresh += 1
+        out.nodes[helper] = NodeKind(out.nodes[target].kind, PiRational(0))
+        keep = limit - 1
+        seen = 0
+        edges = []
+        for a, b in out.edges:
+            ends = []
+            for x in (a, b):
+                if x == target:
+                    seen += 1
+                    ends.append(target if seen <= keep else helper)
+                else:
+                    ends.append(x)
+            edges.append(_norm_edge(ends[0], ends[1]))
+        out.edges = edges
+        out.add_edge(target, helper)
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Divide integer polynomials; ``den`` must be monic."""
+    assert den[-1] == 1, "divisor must be monic"
+    rem = list(num)
+    deg_d = len(den) - 1
+    quot = [0] * max(1, len(num) - deg_d)
+    for k in range(len(rem) - 1 - deg_d, -1, -1):
+        c = rem[k + deg_d]
+        if c == 0:
+            continue
+        quot[k] = c
+        for j, dj in enumerate(den):
+            rem[k + j] -= c * dj
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial_reference(M: int) -> tuple[int, ...]:
+    """Phi_M by exact dense division of X^M - 1 by the product of Phi_d over
+    the proper divisors d of M; the oracle for
+    ``cyclotomic.cyclotomic_polynomial``."""
+    if M == 1:
+        return (-1, 1)
+    num = [0] * (M + 1)
+    num[0], num[M] = -1, 1
+    den = [1]
+    for d in range(1, M):
+        if M % d == 0:
+            den = _poly_mul(den, list(cyclotomic_polynomial_reference(d)))
+    quot, rem = _poly_divmod(num, den)
+    assert rem == [0], "X^M - 1 not divisible by product of lower Phi_d"
+    while len(quot) > 1 and quot[-1] == 0:
+        quot.pop()
+    return tuple(quot)

@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zxexact.cyclotomic import (
-    CycloScalar, ModulusError, cyclotomic_polynomial, euler_phi, lift_modulus,
-    membership_solve, root_of_unity, sqrt_two,
+    CycloScalar, ModulusError, add_rows, cyclotomic_polynomial, euler_phi, from_row,
+    lift_modulus, membership_solve, reduce_row, root_of_unity, rows_in_lowest_terms,
+    sqrt_two, to_rows,
 )
+
+from helpers import cyclotomic_polynomial_reference
 
 KNOWN_PHI = {
     1: (-1, 1),
@@ -195,3 +198,43 @@ def test_str_and_modulus_guard():
     assert "M=8" in str(CycloScalar.one(8))
     with pytest.raises(ModulusError):
         CycloScalar.zero(12)
+
+
+def test_cyclotomic_polynomial_matches_dense_division():
+    for m in range(1, 601):
+        assert cyclotomic_polynomial(m) == cyclotomic_polynomial_reference(m), m
+
+
+def test_cyclotomic_polynomial_large_moduli():
+    # 7976 = 8 * 997 is the modulus of the phase pi/997:
+    # Phi_7976(X) = Phi_997(-X^4) = sum over j < 997 of (-1)^j X^(4j)
+    want = [0] * (4 * 996 + 1)
+    want[::4] = [(-1) ** j for j in range(997)]
+    assert cyclotomic_polynomial(7976) == tuple(want)
+    for m in (2 * 3 * 5 * 7 * 11 * 13, 4096, 8 * 9973, 9240):
+        poly = cyclotomic_polynomial(m)
+        assert len(poly) - 1 == euler_phi(m)
+        assert poly[0] == poly[-1] == 1
+
+
+@given(_moduli_and_terms())
+@settings(max_examples=80, deadline=None)
+def test_rows_agree_with_scalar_ops(case):
+    M, ta, tb = case
+    a, b = CycloScalar(M, ta), CycloScalar(M, tb)
+    (da, (ra,)), (db, (rb,)) = to_rows([a]), to_rows([b])
+    assert from_row(M, ra, da) == a and from_row(M, rb, db) == b
+    buf = [0] * (2 * euler_phi(M) - 1)
+    for p1, c1 in ra or ():
+        for p2, c2 in rb or ():
+            buf[p1 + p2] += c1 * c2
+    product = reduce_row(M, buf)
+    assert from_row(M, product, da * db) == a * b
+    assert (product is None) == (a * b).is_zero()
+    den, (ra2, rb2) = to_rows([a, b])
+    assert from_row(M, add_rows(M, ra2, rb2), den) == a + b
+    rows = [ra2, rb2, None]
+    small = rows_in_lowest_terms(rows, 6 * den)
+    assert [from_row(M, r, small) for r in rows] == [a.scale(Fraction(1, 6)),
+                                                      b.scale(Fraction(1, 6)),
+                                                      CycloScalar.zero(M)]

@@ -20,7 +20,7 @@ from zxexact.interpret import (
     plan_contraction,
 )
 
-from helpers import plan_greedy_reference, random_diagram
+from helpers import plan_greedy_reference, random_diagram, split_high_degree_reference
 
 # the package re-exports interpret() under the module's own name
 interp = importlib.import_module("zxexact.interpret")
@@ -343,3 +343,22 @@ def test_pi3_fragment_entries_live_in_subfield():
         for row in m.entries:
             for e in row:
                 assert membership_solve(lift_modulus(e, M) * scale, 6) is not None
+
+
+# -- splitting high-degree spiders ------------------------------------------------
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 30), st.integers(3, 8))
+@settings(max_examples=300, deadline=None)
+@example(0, 0, 3)
+@example(1, 30, 3)
+def test_split_matches_reference_rescan(seed, extra_edges, limit):
+    rng = random.Random(seed)
+    d = random_diagram(rng, max_nodes=8, max_ports=rng.randint(0, 10))
+    spiders = [n for n, kind in d.nodes.items() if kind.kind != "H"]
+    for _ in range(extra_edges if spiders else 0):  # parallel edges and self-loops
+        d.add_edge(rng.choice(spiders), rng.choice(spiders))
+    got = interp._split_high_degree(d, limit)
+    want = split_high_degree_reference(d, limit)
+    assert (got is d) == (want is d)
+    assert list(got.nodes.items()) == list(want.nodes.items())
+    assert (got.edges, got.inputs, got.outputs) == (want.edges, want.inputs, want.outputs)

@@ -14,13 +14,17 @@ the cyclotomic polynomial Phi_M, built as a Moebius product of binomials.
 ``Fraction`` appears only at the edges: constructor input, ``scale``,
 ``canonical`` and subfield membership.
 
-Bulk work uses a second, internal form: coefficient rows, the sparse
-non-zero integer coefficients of many values over one shared denominator
-(``to_rows``).  The exact contraction kernel multiplies rows into one
-integer buffer per output entry and reduces it modulo Phi_M once
-(``reduce_row``), instead of making a scalar per product and per sum;
-``from_row`` turns a row back into a canonical scalar.  The caches keyed by
-a modulus are bounded.
+Bulk work uses two internal forms, for many values over one shared
+denominator, so that exact contraction makes no scalar per product and
+per sum.  Coefficient rows hold a value's sparse non-zero integer
+coefficients (``to_rows``); a contraction kernel multiplies rows into one
+integer buffer per output entry, reduces it modulo Phi_M once
+(``reduce_row``), and ``from_row`` turns a row back into a canonical
+scalar.  At a power-of-two modulus, where Phi_M = X^(M/2) + 1, a
+``FieldLayout`` packs a value's coefficients into fixed-width fields of
+one Python int, so a product is one bigint multiply and its reduction a
+mask, a shift and a subtraction.  The caches keyed by a modulus are
+bounded.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
+from struct import Struct
 from typing import Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -184,12 +189,99 @@ def rows_in_lowest_terms(rows: list[Row], den: int) -> int:
     return den // g
 
 
+def _norm_bits(coeffs: Sequence[int]) -> int:
+    """The least b >= 0 with sum(|c|) <= 2^b over ``coeffs``."""
+    return max(sum(map(abs, coeffs)) - 1, 0).bit_length()
+
+
 def from_row(M: int, row: Row, den: int) -> "CycloScalar":
     """The canonical scalar of a row over ``den``."""
     coeffs = [0] * _phi_tail(M)[0]
     for p, c in row or ():
         coeffs[p] = c
     return CycloScalar._make(M, coeffs, den)
+
+
+# ---------------------------------------------------------------------------
+# packed values: the storage of exact tensors at power-of-two moduli
+# ---------------------------------------------------------------------------
+# When M is a power of two, Phi_M = X^n + 1 with n = M/2.  A packed value is
+# one Python int, sum(c_k << (k * width)) over its n power-basis
+# coefficients, each in a signed field that holds
+# -2^(width-1) <= c_k < 2^(width-1).  Sums and products of packed ints are
+# the packed sums and products of the values (a product has 2n - 1 fields)
+# as long as no field leaves that range; a field that did would silently
+# spill into its neighbour, so callers bound their values' sizes.  The bound
+# is on the norm |a| = sum of |a_k|, which bounds every coefficient and
+# every field of a product: |a * b| <= |a| * |b|, reduced or not, and
+# |a + b| <= |a| + |b|.
+
+class FieldLayout:
+    """Fields of ``width`` bits, a multiple of 8, for the n = M/2
+    coefficients of values at a power-of-two modulus M.  The fields hold
+    every value, product or sum of products whose norm is at most
+    2^limit."""
+
+    __slots__ = ("modulus", "n", "width", "limit", "shift", "low", "bias", "half", "parity",
+                 "words")
+
+    def __init__(self, modulus: int, width: int):
+        n = modulus // 2
+        ones = ((1 << (2 * n * width)) - 1) // ((1 << width) - 1)  # a 1 in each of 2n fields
+        self.modulus, self.n, self.width = modulus, n, width
+        self.limit = width - 2
+        self.shift = n * width
+        self.low = (1 << self.shift) - 1
+        self.bias = ones << (width - 1)  # 2^(width-1) in each field of a product: all >= 0
+        self.half = self.bias & self.low  # the same for the n fields of a value
+        self.parity = ones & self.low  # bit 0 of each of n fields
+        # 64-bit fields, the common width, decode in one call
+        self.words = Struct(f"<{n}Q") if width == 64 else None
+
+    def encode(self, coeffs: Sequence[int]) -> int:
+        """The packed int of n coefficients; raises OverflowError for a
+        coefficient that does not fit its field."""
+        h, step = 1 << (self.width - 1), self.width // 8
+        raw = b"".join((c + h).to_bytes(step, "little") for c in coeffs)
+        return int.from_bytes(raw, "little") - self.half
+
+    def decode(self, value: int) -> list[int]:
+        """The n coefficients of a packed value."""
+        h, step = 1 << (self.width - 1), self.width // 8
+        raw = (value + self.half).to_bytes(self.n * step, "little")
+        if self.words is not None:
+            return [w - h for w in self.words.unpack(raw)]
+        return [int.from_bytes(raw[k:k + step], "little") - h for k in range(0, len(raw), step)]
+
+    def bits(self, values: Sequence[int]) -> int:
+        """The least b >= 0 with norm at most 2^b for each of ``values``."""
+        return max((_norm_bits(self.decode(v)) for v in values if v), default=0)
+
+    def reduce_in_lowest_terms(self, data: list[int], den: int) -> tuple[int, int]:
+        """Reduce every entry of ``data``, a packed sum of products (2n - 1
+        fields), modulo X^n + 1 in place: with every field biased to be
+        non-negative, the low n fields minus the high n.  Then divide the
+        entries and ``den`` by the largest power of two dividing all of them.
+        Returns the new denominator and the number of factors of 2 divided
+        out."""
+        bias, low, shift, half = self.bias, self.low, self.shift, self.half
+        seen = 0  # bit j of field k is set when some entry's coefficient k has bit j set
+        for k, v in enumerate(data):
+            if v:
+                q = v + bias
+                v = data[k] = (q & low) - (q >> shift)
+                seen |= v + half
+        strip = 0
+        while not den & 1 and not seen & (self.parity << strip):
+            strip += 1
+            den >>= 1
+        if strip:
+            data[:] = [v >> strip for v in data]
+        return den, strip
+
+    def scalar(self, value: int, den: int) -> "CycloScalar":
+        """The canonical scalar of a packed value over ``den``."""
+        return CycloScalar._make(self.modulus, self.decode(value), den)
 
 
 @lru_cache(maxsize=MODULUS_CACHE_SIZE)

@@ -17,8 +17,8 @@ from typing import Optional, Union
 
 from .diagram import (
     Diagram, DiagramError, NodeKind, PiRational, H,
-    _norm_edge, add_phases, diagram_from_json, diagram_to_json,
-    phase_is_exact, scale_phase, validate_diagram,
+    _json, _norm_edge, add_phases, diagram_from_json, diagram_to_json,
+    phase_from_json, phase_is_exact, scale_phase, validate_diagram,
 )
 from .interpret import (
     EXACT, FLOAT, ResourceLimitError, interpret, invariant_r, matrix_compare,
@@ -54,14 +54,19 @@ class HalfEdge:
         return {"edge": [self.a, self.b], "k": self.k, "end": self.end}
 
     @staticmethod
-    def from_json(obj: dict) -> "HalfEdge":
-        a, b = obj["edge"]
-        end = int(obj["end"])
+    def from_json(obj: object) -> "HalfEdge":
+        _json(obj, dict, "a boundary half-edge")
+        edge = _json(obj.get("edge"), list, "a half-edge's edge", str)
+        end = _json(obj.get("end"), int, "a half-edge's end")
+        k = _json(obj.get("k", 0), int, "a half-edge's k")
+        if len(edge) != 2 or end not in (0, 1) or k < 0:
+            raise DiagramError(f"bad half-edge {obj!r}: want two ids, end 0 or 1 and k >= 0")
+        a, b = edge
         designated = (a, b)[end]
         aa, bb = _norm_edge(a, b)
         if aa != bb:  # re-anchor the end after normalizing the pair order
             end = 1 if designated == bb else 0
-        return HalfEdge(aa, bb, int(obj.get("k", 0)), end)
+        return HalfEdge(aa, bb, k, end)
 
 
 @dataclass
@@ -338,19 +343,21 @@ class DerivationStep:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "DerivationStep":
-        variant = obj.get("variant", {})
-        match = obj.get("match", {})
+    def from_json(obj: object) -> "DerivationStep":
+        _json(obj, dict, "a step")
+        variant = _json(obj.get("variant", {}), dict, "a step's variant")
+        match = _json(obj.get("match", {}), dict, "a step's match")
         return DerivationStep(
-            rule=obj["rule"],
-            direction=obj.get("dir", "ltr"),
-            bindings={k: _binding_from_json(v) for k, v in obj.get("bindings", {}).items()},
+            rule=_json(obj.get("rule"), str, "a step's rule"),
+            direction=_json(obj.get("dir", "ltr"), str, "a step's dir"),
+            bindings={k: _binding_from_json(v) for k, v in
+                      _json(obj.get("bindings", {}), dict, "a step's bindings").items()},
             color_swap=bool(variant.get("swap", False)),
             vertical_flip=bool(variant.get("flip", False)),
             embedding=Embedding(
-                node_map=dict(match.get("nodes", {})),
-                boundary_map={p: HalfEdge.from_json(h)
-                              for p, h in match.get("boundary", {}).items()},
+                node_map=dict(_json(match.get("nodes", {}), dict, "match.nodes", str)),
+                boundary_map={p: HalfEdge.from_json(h) for p, h in
+                              _json(match.get("boundary", {}), dict, "match.boundary").items()},
             ),
         )
 
@@ -364,10 +371,8 @@ def _binding_to_json(v) -> object:
 
 
 def _binding_from_json(v) -> object:
-    if isinstance(v, str):
-        return PiRational.parse(v)
-    if isinstance(v, dict) and "float" in v:
-        return float(v["float"])
+    if isinstance(v, (str, dict)):
+        return phase_from_json(v)
     return v
 
 
@@ -390,13 +395,16 @@ class DerivationScript:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "DerivationScript":
+    def from_json(obj: object) -> "DerivationScript":
+        """The script of a JSON object; raises DiagramError for a malformed one."""
+        _json(obj, dict, "a script")
         return DerivationScript(
-            ruleset=obj["ruleset"],
-            initial=diagram_from_json(obj["initial"]),
-            steps=[DerivationStep.from_json(s) for s in obj.get("steps", [])],
-            final=diagram_from_json(obj["final"]),
-            final_iso=dict(obj.get("final_iso", {})),
+            ruleset=_json(obj.get("ruleset"), str, "ruleset"),
+            initial=diagram_from_json(_json(obj.get("initial"), dict, "initial")),
+            steps=[DerivationStep.from_json(s)
+                   for s in _json(obj.get("steps", []), list, "steps")],
+            final=diagram_from_json(_json(obj.get("final"), dict, "final")),
+            final_iso=dict(_json(obj.get("final_iso", {}), dict, "final_iso", str)),
         )
 
 
@@ -408,7 +416,7 @@ def load_script(path: str) -> DerivationScript:
             raise DiagramError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     try:
         return DerivationScript.from_json(obj)
-    except (KeyError, TypeError) as exc:
+    except DiagramError as exc:
         raise DiagramError(f"{path}: malformed script: {exc}") from exc
 
 
@@ -455,10 +463,10 @@ def apply_step(host: Diagram, step: DerivationStep, step_index: int = 0,
         n = step.bindings.get("n")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise TwinError(f"twin step needs a positive integer count n, got {n!r}")
-        ids = [step.embedding.node_map[f"t{k}"] for k in range(n)
-               if f"t{k}" in step.embedding.node_map]
-        if len(ids) != n:
+        node_map = step.embedding.node_map
+        if n > len(node_map) or any(f"t{k}" not in node_map for k in range(n)):
             raise TwinError("twin step must map t0..t{n-1}")
+        ids = [node_map[f"t{k}"] for k in range(n)]
         if verify_imported and not twin_local_equivalence(host, ids, n, max_rank=max_rank):
             raise TwinError("twin merge failed its semantic re-verification")
         return merge_twins(host, ids, n)

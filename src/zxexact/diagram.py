@@ -482,24 +482,39 @@ def diagram_to_json(d: Diagram) -> dict:
     }
 
 
-def diagram_from_json(obj: dict) -> Diagram:
-    try:
-        d = Diagram()
-        d.inputs = tuple(obj.get("inputs", []))
-        d.outputs = tuple(obj.get("outputs", []))
-        for entry in obj.get("nodes", []):
-            kind = entry["kind"]
-            if kind == H:
-                d.nodes[entry["id"]] = hbox()
-            else:
-                d.nodes[entry["id"]] = NodeKind(kind, phase_from_json(entry.get("phase", "0")))
-        for pair in obj.get("edges", []):
-            if len(pair) != 2:
-                raise DiagramError(f"edge must have two endpoints, got {pair!r}")
-            d.add_edge(pair[0], pair[1])
-        return d
-    except (KeyError, TypeError) as exc:
-        raise DiagramError(f"malformed diagram object: {exc}") from exc
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON list", str: "a string", int: "an integer"}
+
+
+def _json(value: object, kind: type, what: str, item: Optional[type] = None):
+    """``value`` when it is of JSON type ``kind`` and, if ``item`` is given,
+    every element of a list (or value of an object) is of type ``item``;
+    otherwise a DiagramError naming ``what``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise DiagramError(f"{what} must be {_JSON_TYPES[kind]}")
+    if item is not None:
+        for x in value.values() if kind is dict else value:
+            if not isinstance(x, item):
+                raise DiagramError(f"every item of {what} must be {_JSON_TYPES[item]}")
+    return value
+
+
+def diagram_from_json(obj: object) -> Diagram:
+    """The diagram of a JSON object; raises DiagramError for a malformed one."""
+    _json(obj, dict, "a diagram")
+    d = Diagram()
+    d.inputs = tuple(_json(obj.get("inputs", []), list, "inputs", str))
+    d.outputs = tuple(_json(obj.get("outputs", []), list, "outputs", str))
+    for entry in _json(obj.get("nodes", []), list, "nodes", dict):
+        node_id = _json(entry.get("id"), str, "a node id")
+        if entry.get("kind") == H:
+            d.nodes[node_id] = hbox()
+        else:
+            d.nodes[node_id] = NodeKind(entry.get("kind"), phase_from_json(entry.get("phase", "0")))
+    for pair in _json(obj.get("edges", []), list, "edges", list):
+        if len(pair) != 2 or not all(isinstance(end, str) for end in pair):
+            raise DiagramError(f"an edge must be two ids, got {pair!r}")
+        d.add_edge(pair[0], pair[1])
+    return d
 
 
 def load_diagram(path: str) -> Diagram:

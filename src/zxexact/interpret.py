@@ -8,14 +8,27 @@ cap; the order is built incrementally, rescoring after each merge only the
 pairs of the new tensor.
 
 The float backend stores complex entries.  The exact backend stores each
-tensor as one integer denominator and, per entry, a sparse row of integer
-coefficients over the power basis of Q(zeta_M) (``cyclotomic.to_rows``).
-A contraction collects the schoolbook products of an output entry in one
-integer buffer, reduces it modulo Phi_M once, and divides the result's
-rows and denominator by their common gcd, so integers do not grow along
-long chains.  Leaf tensors are cached in this form; ``CycloScalar``s are
-made only for the final matrix and for ``node_tensor``.  Both backends
-share the axis bookkeeping of a contraction.
+tensor as one integer denominator and integer coefficients per entry over
+the power basis of Q(zeta_M), in one of two forms that M alone chooses:
+
+- At a power-of-two M, where Phi_M = X^(M/2) + 1, each entry is one
+  Python int holding its M/2 signed coefficients in fixed-width fields
+  (``cyclotomic.FieldLayout``).  The products of an output entry are
+  bigint multiplies summed into one int, reduced modulo Phi_M by a biased
+  mask, a shift and a subtraction; every denominator is a power of two,
+  so lowest terms take a parity mask and a shift.  A bound on each
+  tensor's values keeps every field from spilling into the next, widening
+  the fields when needed.
+- At any other M, each entry is a sparse row of coefficients
+  (``cyclotomic.to_rows``); the schoolbook products of an output entry go
+  into one integer buffer, reduced modulo Phi_M once, and one gcd per
+  result keeps the denominator in lowest terms.
+
+Either way integers do not grow along long chains.  Leaf tensors are
+cached in their ring's form; ``CycloScalar``s are made only for the final
+matrix and for ``node_tensor``.  All backends share the axis bookkeeping of
+a contraction, and the float and packed backends its inner loop.  The
+modulus is capped at ``MAX_MODULUS``.
 """
 
 from __future__ import annotations
@@ -29,8 +42,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .cyclotomic import (
-    CycloScalar, add_rows, euler_phi, from_row, lift_modulus, reduce_row, root_of_unity,
-    rows_in_lowest_terms, sqrt_two, to_rows,
+    CycloScalar, FieldLayout, _norm_bits, add_rows, euler_phi, from_row, lift_modulus,
+    reduce_row, root_of_unity, rows_in_lowest_terms, sqrt_two, to_rows,
 )
 from .diagram import (
     Diagram, NodeKind, Phase, PiRational, H, X, Z, _norm_edge,
@@ -46,22 +59,36 @@ class BackendError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when contraction would exceed the configured tensor rank cap."""
+    """Raised when contraction would exceed the configured tensor rank cap,
+    or a field would exceed the modulus cap."""
 
 
 # ---------------------------------------------------------------------------
 # scalar backends
 # ---------------------------------------------------------------------------
 # A ring builds leaf tensors from its scalars and stores tensors in its own
-# form: ``pack`` turns a leaf's scalars into ``(den, data)`` and ``unpack``
-# turns stored data back into scalars.  The exact ring stores coefficient
-# rows over one denominator per tensor (see ``cyclotomic.to_rows``); the
-# float ring stores plain complex numbers and a denominator of 1.
+# form: ``pack`` turns a leaf's scalars into the ``_Tensor`` fields after
+# the axes (``den``, ``data`` and, for packed tensors, ``bits`` and
+# ``fields``), ``unpack`` turns a tensor's data back into scalars,
+# ``contract`` runs the inner loop of a pairwise contraction and ``fit``
+# makes room for a sum before ``_self_trace`` adds entries.  The float ring
+# stores plain complex numbers; the exact ring coefficient rows over one
+# denominator per tensor (see ``cyclotomic.to_rows``), or, at a power-of-two
+# modulus, packed ints (``cyclotomic.FieldLayout``).
 
 # Bounds of the module caches: the four benchmark workloads use at most 10
 # rings and about 2,000 leaf tensors.
 RING_CACHE_SIZE = 64
 TENSOR_CACHE_SIZE = 4096
+
+# The largest modulus the exact backend builds a field for.  Tests use at
+# most 1,040 and the benchmark 312; the field of phase 1/99991 (M = 799,928)
+# takes seconds to build and its values are 400k coefficients long.
+MAX_MODULUS = 65536
+
+# Bits per coefficient field of a packed tensor; a tensor whose coefficient
+# bound outgrows its fields is re-encoded in wider ones (a multiple of this).
+FIELD_WIDTH = 64
 
 
 def _bounded_put(cache: dict, key, value, limit: int):
@@ -73,7 +100,15 @@ def _bounded_put(cache: dict, key, value, limit: int):
     return value
 
 
+def _capped(M: int) -> int:
+    if M > MAX_MODULUS:
+        raise ResourceLimitError(f"modulus {M} exceeds cap {MAX_MODULUS}")
+    return M
+
+
 class _ExactRing:
+    """Coefficient rows, at a modulus that is not a power of two."""
+
     def __init__(self, modulus: int):
         self.modulus = modulus
         self.zero = CycloScalar.zero(modulus)
@@ -81,7 +116,7 @@ class _ExactRing:
         self.width = 2 * euler_phi(modulus) - 1  # a product buffer of two rows
         self._inv_sqrt2 = sqrt_two(modulus).scale(Fraction(1, 2))
         self._inv_pows: dict[int, CycloScalar] = {0: self.one, 1: self._inv_sqrt2}
-        self.identity = to_rows([self.one, self.zero, self.zero, self.one])
+        self.identity = self.pack([self.one, self.zero, self.zero, self.one])
 
     def phase(self, phase: Phase) -> CycloScalar:
         if not isinstance(phase, PiRational):
@@ -97,11 +132,79 @@ class _ExactRing:
 
     pack = staticmethod(to_rows)
 
-    def unpack(self, den: int, data: list) -> list[CycloScalar]:
-        return [from_row(self.modulus, row, den) for row in data]
+    def unpack(self, t: "_Tensor") -> list[CycloScalar]:
+        return [from_row(self.modulus, row, t.den) for row in t.data]
 
     def add(self, a, b):
         return add_rows(self.modulus, a, b)
+
+    @staticmethod
+    def fit(tensors, extra: int):
+        return tensors
+
+    def contract(self, t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
+        data = _row_products(t1.data, t2.data, *layout, self.modulus, self.width)
+        return _Tensor(axes, rows_in_lowest_terms(data, t1.den * t2.den), data)
+
+
+class _PackedRing(_ExactRing):
+    """Packed ints: a power-of-two modulus M, where Phi_M = X^(M/2) + 1.
+
+    Every denominator is a power of two.  Each tensor carries a bound
+    ``bits``: no entry's norm (``cyclotomic.FieldLayout``) exceeds 2^bits.
+    It is exact for leaves; after a product it is b1 + b2 + the number of
+    shared axes (a sum of 2^shared products), less the factors of 2 divided
+    out; one more after a self-trace.  When a result's bound would pass its
+    fields' limit, ``fit`` recomputes the operands' bounds exactly and, if
+    that is not enough, re-encodes them in wider fields, so no field ever
+    spills into its neighbour."""
+
+    def __init__(self, modulus: int):
+        self._layouts: dict[int, FieldLayout] = {}
+        super().__init__(modulus)
+
+    def fields(self, bits: int) -> FieldLayout:
+        """The narrowest layout whose fields hold norms of 2^bits."""
+        width = FIELD_WIDTH * ((bits + 1) // FIELD_WIDTH + 1)
+        layout = self._layouts.get(width)
+        if layout is None:
+            layout = self._layouts[width] = FieldLayout(self.modulus, width)
+        return layout
+
+    def pack(self, values) -> tuple:
+        den = math.lcm(*(v.den for v in values))
+        coeffs = [[c * (den // v.den) for c in v.coeffs] for v in values]
+        bits = max(map(_norm_bits, coeffs), default=0)
+        fields = self.fields(bits)
+        return den, tuple(map(fields.encode, coeffs)), bits, fields
+
+    def unpack(self, t: "_Tensor") -> list[CycloScalar]:
+        return [t.fields.scalar(v, t.den) for v in t.data]
+
+    add = staticmethod(operator.add)
+
+    def fit(self, tensors, extra: int):
+        """``tensors`` in one layout whose fields hold a result bounded by
+        ``sum(bits) + extra``, re-encoding those in another layout."""
+        fields = tensors[0].fields
+        if (all(t.fields is fields for t in tensors)
+                and sum(t.bits for t in tensors) + extra <= fields.limit):
+            return tensors
+        for t in tensors:
+            t.bits = t.fields.bits(t.data)
+        fields = self.fields(sum(t.bits for t in tensors) + extra)
+        return [t if t.fields is fields else _Tensor(
+                    t.axes, t.den, [fields.encode(t.fields.decode(v)) for v in t.data],
+                    t.bits, fields)
+                for t in tensors]
+
+    def contract(self, t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
+        extra = len(layout[2]).bit_length() - 1  # the number of shared axes
+        if t1.fields is not t2.fields or t1.bits + t2.bits + extra > t1.fields.limit:
+            t1, t2 = self.fit((t1, t2), extra)
+        data = _products(t1.data, t2.data, *layout, 0)
+        den, strip = t1.fields.reduce_in_lowest_terms(data, t1.den * t2.den)
+        return _Tensor(axes, den, data, t1.bits + t2.bits + extra - strip, t1.fields)
 
 
 _RING_CACHE: dict[int, _ExactRing] = {}
@@ -110,7 +213,8 @@ _RING_CACHE: dict[int, _ExactRing] = {}
 def _exact_ring(modulus: int) -> _ExactRing:
     ring = _RING_CACHE.get(modulus)
     if ring is None:
-        ring = _bounded_put(_RING_CACHE, modulus, _ExactRing(modulus), RING_CACHE_SIZE)
+        kind = _PackedRing if modulus & (modulus - 1) == 0 else _ExactRing
+        ring = _bounded_put(_RING_CACHE, modulus, kind(_capped(modulus)), RING_CACHE_SIZE)
     return ring
 
 
@@ -133,19 +237,28 @@ class _FloatRing:
         return 1, tuple(values)
 
     @staticmethod
-    def unpack(den: int, data):
-        return data
+    def unpack(t: "_Tensor"):
+        return t.data
 
     add = staticmethod(operator.add)
 
+    @staticmethod
+    def fit(tensors, extra: int):
+        return tensors
+
+    @staticmethod
+    def contract(t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
+        return _Tensor(axes, 1, _products(t1.data, t2.data, *layout, complex(0)))
+
 
 def choose_modulus(d: Diagram) -> int:
-    """Smallest modulus M = lcm(8, 2*den(phase) for all spider phases)."""
+    """Smallest modulus M = lcm(8, 2*den(phase) for all spider phases);
+    raises ``ResourceLimitError`` above ``MAX_MODULUS``."""
     M = 8
     for p in d.phases():
         if not phase_is_exact(p):
             raise BackendError("diagram has a float phase; exact backend unavailable")
-        M = math.lcm(M, 2 * p.den)
+        M = _capped(math.lcm(M, 2 * p.den))
     return M
 
 
@@ -166,14 +279,18 @@ def _ring_for(d: Diagram, backend: str):
 
 class _Tensor:
     """Entries over axes (the first axis most significant) in a ring's
-    storage form, all divided by ``den``."""
+    storage form, all divided by ``den``; a packed tensor also has its
+    ``fields`` and a bound ``bits`` on its entries' norm (``_PackedRing``)."""
 
-    __slots__ = ("axes", "data", "den")
+    __slots__ = ("axes", "den", "data", "bits", "fields")
 
-    def __init__(self, axes: list[str], data, den: int = 1):
+    def __init__(self, axes: list[str], den: int, data, bits: int = 0,
+                 fields: Optional[FieldLayout] = None):
         self.axes = axes
-        self.data = data
         self.den = den
+        self.data = data
+        self.bits = bits
+        self.fields = fields
 
     @property
     def rank(self) -> int:
@@ -197,7 +314,7 @@ def _spider_tensor_fresh(kind_name: str, phase: Phase, degree: int, ring) -> tup
     return tuple(plus if bin(i).count("1") % 2 == 0 else minus for i in range(size))
 
 
-# (modulus, kind, phase, degree) -> (den, data) in the ring's storage form
+# (modulus, kind, phase, degree) -> a leaf's ``ring.pack`` fields
 _TENSOR_CACHE: dict[tuple, tuple] = {}
 
 
@@ -222,7 +339,7 @@ def _hbox_tensor(ring) -> tuple:
 
 
 def _leaf_tensor(kind: NodeKind, degree: int, ring) -> tuple:
-    """(den, data) of a spider or H box with ``degree`` legs."""
+    """The ``ring.pack`` fields of a spider or H box with ``degree`` legs."""
     return _hbox_tensor(ring) if kind.kind == H else _spider_tensor(kind, degree, ring)
 
 
@@ -252,6 +369,7 @@ def _self_trace(t: _Tensor, ring) -> _Tensor:
         rest_strides = [1 << (n - 1 - pos) for pos in range(n) if pos not in (i, j)]
         m = len(rest)
         data = [None] * (1 << m)
+        (t,) = ring.fit((t,), 1)
         add = ring.add
         for idx in range(1 << m):
             base = 0
@@ -259,7 +377,7 @@ def _self_trace(t: _Tensor, ring) -> _Tensor:
                 if (idx >> (m - 1 - bit)) & 1:
                     base += rest_strides[bit]
             data[idx] = add(t.data[base], t.data[base + si + sj])
-        t = _Tensor(rest, data, t.den)
+        t = _Tensor(rest, t.den, data, t.bits + 1, t.fields)
 
 
 def _bases(free_axes: list[str], strides: dict[str, int]) -> list[int]:
@@ -276,8 +394,8 @@ def _bases(free_axes: list[str], strides: dict[str, int]) -> list[int]:
 
 def _contract_pair(t1: _Tensor, t2: _Tensor, ring, max_rank: int) -> _Tensor:
     """Sum over the shared axes; the result's axes are t1's free axes, then
-    t2's.  The axis bookkeeping is common to both rings; each has its own
-    inner loop."""
+    t2's.  The axis bookkeeping is common to all rings; each runs its own
+    inner loop (``ring.contract``)."""
     in1, in2 = set(t1.axes), set(t2.axes)
     shared = [a for a in t1.axes if a in in2]
     f1 = [a for a in t1.axes if a not in in2]
@@ -287,15 +405,15 @@ def _contract_pair(t1: _Tensor, t2: _Tensor, ring, max_rank: int) -> _Tensor:
             f"contraction result rank {len(f1) + len(f2)} exceeds cap {max_rank}")
     s1, s2 = _strides(t1.axes), _strides(t2.axes)
     layout = (_bases(f1, s1), _bases(f2, s2), _bases(shared, s1), _bases(shared, s2))
-    if ring.modulus is None:
-        return _Tensor(f1 + f2, _complex_products(t1.data, t2.data, *layout))
-    data = _row_products(t1.data, t2.data, *layout, ring.modulus, ring.width)
-    return _Tensor(f1 + f2, data, rows_in_lowest_terms(data, t1.den * t2.den))
+    return ring.contract(t1, t2, f1 + f2, layout)
 
 
-def _complex_products(d1, d2, b1, b2, sh1, sh2) -> list[complex]:
+def _products(d1, d2, b1, b2, sh1, sh2, zero) -> list:
+    """Each output entry's sum of products, for entries that add and
+    multiply as Python numbers (complex, or packed ints left unreduced);
+    ``zero`` fills the entries with no non-zero product."""
     n_f2 = len(b2)
-    data = [complex(0)] * (len(b1) * n_f2)
+    data = [zero] * (len(b1) * n_f2)
     for i1, base1 in enumerate(b1):
         row = i1 * n_f2
         pairs = [(v1, o2) for o1, o2 in zip(sh1, sh2) if (v1 := d1[base1 + o1])]
@@ -492,7 +610,7 @@ def _align(a: SemanticMatrix, b: SemanticMatrix) -> tuple[SemanticMatrix, Semant
     if a.backend != b.backend:
         raise ValueError("cannot combine exact and float matrices")
     if a.backend == EXACT and a.modulus != b.modulus:
-        M = math.lcm(a.modulus, b.modulus)
+        M = _capped(math.lcm(a.modulus, b.modulus))
         return _lift_matrix(a, M), _lift_matrix(b, M)
     return a, b
 
@@ -531,7 +649,7 @@ def node_tensor(kind: NodeKind, n_in: int, n_out: int, backend: str = EXACT,
     # legs ordered inputs then outputs; symmetric tensors make the order moot
     inputs = [f"i{k}" for k in range(n_in)]
     outputs = [f"o{k}" for k in range(n_out)]
-    flat = ring.unpack(*_leaf_tensor(kind, n_in + n_out, ring))
+    flat = ring.unpack(_Tensor([], *_leaf_tensor(kind, n_in + n_out, ring)))
     return SemanticMatrix(_as_matrix(flat, inputs + outputs, inputs, outputs),
                           n_in, n_out, backend, ring.modulus)
 
@@ -627,10 +745,9 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
     tensors: list[_Tensor] = []
     for n, axes in zip(node_order, axes_list):
         # self-loop axes appear twice, so len(axes) is the degree
-        den, data = _leaf_tensor(d.nodes[n], len(axes), ring)
-        tensors.append(_self_trace(_Tensor(axes, data, den), ring))
-    den, identity = ring.identity
-    tensors += [_Tensor(axes, identity, den) for axes in axes_list[len(node_order):]]
+        tensors.append(_self_trace(_Tensor(axes, *_leaf_tensor(d.nodes[n], len(axes), ring)),
+                                   ring))
+    tensors += [_Tensor(axes, *ring.identity) for axes in axes_list[len(node_order):]]
 
     if tensors:
         pool: dict[int, _Tensor] = dict(enumerate(tensors))
@@ -640,16 +757,14 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
             next_id += 1
         final = pool.popitem()[1]
     else:
-        den, one = ring.pack([ring.one])
-        final = _Tensor([], one, den)
+        final = _Tensor([], *ring.pack([ring.one]))
 
     # order open axes: inputs then outputs, then reshape to a matrix
     inputs = [f"p:{p}" for p in d.inputs]
     outputs = [f"p:{p}" for p in d.outputs]
     if sorted(inputs + outputs) != sorted(final.axes):
         raise AssertionError("open axes do not match boundary ports")
-    ents = [ring.unpack(final.den, row)
-            for row in _as_matrix(final.data, final.axes, inputs, outputs)]
+    ents = _as_matrix(ring.unpack(final), final.axes, inputs, outputs)
     return SemanticMatrix(ents, d.n_inputs, d.n_outputs, backend, ring.modulus)
 
 

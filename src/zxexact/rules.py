@@ -33,6 +33,12 @@ class RuleError(ValueError):
     """Unknown rule, bad binding, or an out-of-range arity."""
 
 
+# The largest leg count or wire multiplicity a binding may ask for.  Every
+# instance is built as an explicit diagram, so a script binding 10^30 legs
+# would hang; the bundled scripts and sweeps use at most 3.
+MAX_ARITY = 1024
+
+
 @dataclass(frozen=True)
 class RuleSchema:
     """A parametric rewrite rule with a builder from bindings to diagrams."""
@@ -508,6 +514,8 @@ def instantiate(schema: RuleSchema | str, bindings: dict,
         v = bindings.get(p, floor)
         if not isinstance(v, int) or v < floor:
             raise RuleError(f"{schema.name} binding {p}={v!r} below floor {floor}")
+        if v > MAX_ARITY:
+            raise RuleError(f"{schema.name} binding {p}={v!r} above cap {MAX_ARITY}")
         norm[p] = v
     extra = set(bindings) - set(norm)
     if extra:

@@ -1,11 +1,16 @@
 """CLI behaviour: exit codes, output shapes, determinism."""
 
+import copy
 import json
 import subprocess
 import sys
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zxexact.cli import run
 from zxexact.diagram import Diagram, PiRational, dump_diagram, xspider, zspider
@@ -33,6 +38,16 @@ def test_interpret_float_backend(e_lhs_file, capsys):
     assert out.startswith("scalar: 1")
 
 
+def test_modulus_cap_gives_exit_1(tmp_path, capsys):
+    d = Diagram()
+    d.nodes["x"] = xspider(PiRational(1, 99991))
+    d.add_edge("x", "x")
+    path = tmp_path / "huge_modulus.zx"
+    dump_diagram(d, str(path))
+    assert run(["interpret", str(path)]) == 1
+    assert "modulus 799928 exceeds cap" in capsys.readouterr().err
+
+
 def test_invariant_command(e_lhs_file, capsys):
     assert run(["invariant", e_lhs_file]) == 0
     out = capsys.readouterr().out
@@ -53,6 +68,87 @@ def test_coerced_phase_literal_exits_two(tmp_path, phase):
                     encoding="utf-8")
     assert run(["interpret", str(path)]) == 2
     assert run(["interpret", str(path), "--backend", "float"]) == 2
+
+
+def _bundled(name: str):
+    return json.loads(resources.files("zxexact.data").joinpath(name).read_text("utf-8"))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def test_malformed_script_shapes_exit_two(tmp_path, capsys):
+    script = _bundled("zo_from_zxe.json")
+    k, step = next((k, s) for k, s in enumerate(script["steps"]) if s["match"]["nodes"])
+    j, port = next((j, min(s["match"]["boundary"])) for j, s in enumerate(script["steps"])
+                   if s["match"]["boundary"])
+    cases = [
+        (["steps", 0, "variant"], [], 2),
+        (["initial"], [], 2),
+        (["steps", j, "match", "boundary", port, "end"], 5, 2),
+        (["steps", k, "match", "nodes", min(step["match"]["nodes"])], ["x"], 2),
+        (["steps", 0, "bindings"], [], 2),
+        (["steps", 1, "bindings", "a_in"], 10 ** 30, 1),  # refused at the step
+    ]
+    target = tmp_path / "bad.json"
+    for path, value, code in cases:
+        bad = copy.deepcopy(script)
+        _at(bad, path[:-1])[path[-1]] = value
+        target.write_text(json.dumps(bad), encoding="utf-8")
+        assert run(["derive", "check", str(target)]) == code, path
+        if code == 2:
+            assert capsys.readouterr().err.count("\n") == 1
+    target.write_text("[1, 2]", encoding="utf-8")
+    assert run(["interpret", str(target)]) == 2
+    assert "a diagram must be a JSON object" in capsys.readouterr().err
+
+
+# every bundled CLI input, and the commands that read it
+FUZZ_TARGETS = {
+    "circle.zx": (["interpret"], ["invariant"]),
+    "e_lhs.zx": (["interpret"], ["interpret", "--backend", "float"], ["invariant"]),
+    "zo_from_zxe.json": (["derive", "check"], ["derive", "check", "--paranoid"]),
+    "iv_from_zxe.json": (["derive", "check"], ["derive", "check", "--paranoid"]),
+    "sup4_from_sup2.json": (["derive", "check"], ["derive", "check", "--paranoid"]),
+}
+# other types, known and unknown ids, huge counts and bad phases
+FUZZ_VALUES = (None, True, 0, -1, 5, 1.5, 10 ** 30, "x", "zpi", "1/0", "1/99991", [],
+               ["x"], [1, 2], {}, {"x": 1}, {"float": "x"})
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _paths(value, prefix + (key,))
+
+
+@given(st.sampled_from(sorted(FUZZ_TARGETS)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_bundled_inputs_never_raise(name, data):
+    obj = _bundled(name)
+    path = data.draw(st.sampled_from(list(_paths(obj))), label="path")
+    op = data.draw(st.sampled_from(("replace", "delete", "add")), label="op")
+    value = data.draw(st.sampled_from(FUZZ_VALUES), label="value")
+    target = _at(obj, path)
+    if not path:
+        obj = value
+    elif op == "add" and isinstance(target, dict):
+        target[data.draw(st.sampled_from(("x", "id", "kind", "end")), label="key")] = value
+    elif op == "add" and isinstance(target, list):
+        target.append(value)
+    elif op == "delete":
+        del _at(obj, path[:-1])[path[-1]]
+    else:
+        _at(obj, path[:-1])[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / name
+        file.write_text(json.dumps(obj), encoding="utf-8")
+        for command in FUZZ_TARGETS[name]:
+            assert run(command + [str(file)]) in (0, 1, 2)
 
 
 def test_missing_file_exits_two():

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zxexact.cyclotomic import (
-    CycloScalar, ModulusError, add_rows, cyclotomic_polynomial, euler_phi, from_row,
-    lift_modulus, membership_solve, reduce_row, root_of_unity, rows_in_lowest_terms,
-    sqrt_two, to_rows,
+    CycloScalar, FieldLayout, ModulusError, _norm_bits, add_rows, cyclotomic_polynomial,
+    euler_phi, from_row, lift_modulus, membership_solve, reduce_row, root_of_unity,
+    rows_in_lowest_terms, sqrt_two, to_rows,
 )
 
 from helpers import cyclotomic_polynomial_reference
@@ -238,3 +238,38 @@ def test_rows_agree_with_scalar_ops(case):
     assert [from_row(M, r, small) for r in rows] == [a.scale(Fraction(1, 6)),
                                                       b.scale(Fraction(1, 6)),
                                                       CycloScalar.zero(M)]
+
+
+@given(st.sampled_from((8, 16, 32)), st.sampled_from((64, 128)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_packed_fields_agree_with_scalar_ops(M, width, data):
+    n = M // 2
+    # coefficients up to the largest for which 24 * (a sum of 2 products of
+    # n terms each) stays within the fields' limit
+    top = 2 ** ((width - 2 - (2 * n).bit_length() - 5) // 2)
+    coeffs = st.lists(st.integers(-top, top), min_size=n, max_size=n)
+    ca, cb = data.draw(coeffs), data.draw(coeffs)
+    a, b = CycloScalar._make(M, list(ca), 1), CycloScalar._make(M, list(cb), 1)
+    fields = FieldLayout(M, width)
+    pa, pb = fields.encode(ca), fields.encode(cb)
+    assert fields.decode(pa) == ca and fields.decode(pb) == cb
+    assert fields.bits([pa, 0, pb]) == max(_norm_bits(ca), _norm_bits(cb))
+    assert fields.scalar(pa + pb, 1) == a + b
+    # a product, a sum of two products, then 2 * 3 * 4 over the denominator 4 * 16
+    entries = [pa * pb, pa * pb + pb * pb, 0, 24 * pa * pa]
+    den, strip = fields.reduce_in_lowest_terms(entries, 64)
+    got = [fields.scalar(v, den) for v in entries]
+    want = [(a * b).scale(Fraction(1, 64)), (a * b + b * b).scale(Fraction(1, 64)),
+            CycloScalar.zero(M), (a * a).scale(Fraction(24, 64))]
+    assert got == want
+    assert den * 2 ** strip == 64
+    assert den == 1 or any(c % 2 for v in entries for c in fields.decode(v))  # lowest terms
+
+
+def test_packed_fields_refuse_a_coefficient_that_does_not_fit():
+    fields = FieldLayout(8, 64)
+    assert fields.decode(fields.encode([2 ** 63 - 1, -2 ** 63, 0, 1])) == [
+        2 ** 63 - 1, -2 ** 63, 0, 1]
+    for c in (2 ** 63, -2 ** 63 - 1):
+        with pytest.raises(OverflowError):
+            fields.encode([0, c, 0, 0])

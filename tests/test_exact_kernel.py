@@ -1,6 +1,8 @@
-"""The exact contraction kernel against independent oracles at moduli beyond
-8 (the float backend, matmul/kron functoriality, a long H-box chain), and
-the size bounds of the module caches."""
+"""The exact contraction kernels against independent oracles (the float
+backend, matmul/kron functoriality, a long H-box chain, each other): the
+packed kernel at power-of-two moduli and the row kernel at the others.
+Also the widening of packed fields, and the size bounds of the module
+caches."""
 
 import importlib
 import random
@@ -9,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zxexact import cyclotomic
+from zxexact.cyclotomic import CycloScalar, FieldLayout, root_of_unity
 from zxexact.diagram import (
-    Diagram, PiRational, hbox, make_generator, sequential_compose, tensor_product,
-    xspider, zspider,
+    Z, Diagram, PiRational, hbox, make_generator, make_spider, sequential_compose,
+    tensor_product, xspider, zspider,
 )
 from zxexact.interpret import interpret, matrix_compare, node_tensor
 
@@ -81,28 +84,87 @@ def test_exact_functoriality(seed, den_a, den_b):
     assert matrix_compare(interpret(tensor_product(earlier, later)), a.kron(b)).equal
 
 
-def test_chain_of_400_h_boxes_is_the_identity():
+def _h_chain(length: int) -> Diagram:
     d = Diagram()
     d.inputs, d.outputs = ("i",), ("o",)
-    names = [f"h{k:03d}" for k in range(400)]
+    names = [f"h{k:03d}" for k in range(length)]
     for name in names:
         d.nodes[name] = hbox()
     for a, b in zip(["i"] + names, names + ["o"]):
         d.add_edge(a, b)
-    assert interpret(d).entries == interpret(make_generator("identity")).entries
+    return d
+
+
+def test_chain_of_400_h_boxes_is_the_identity():
+    assert interpret(_h_chain(400)).entries == interpret(make_generator("identity")).entries
+
+
+@given(seeds, st.sampled_from((1, 2, 4, 8)))
+@settings(max_examples=100, deadline=None)
+def test_packed_kernel_agrees_with_row_kernel(seed, den):
+    d = random_diagram(random.Random(seed), max_nodes=6, den=den, max_ports=4)
+    # beside a scalar 2pi/3 spider the product interprets at M = 24 or 48,
+    # in the row kernel; d alone interprets at M = 8 or 16, in the packed one
+    s = make_spider(Z, PiRational(2, 3), 0, 0)
+    packed = interpret(d)
+    assert packed.modulus in (8, 16)
+    assert matrix_compare(interpret(tensor_product(d, s)), packed.kron(interpret(s))).equal
+
+
+def _scalars(kind, count: int) -> Diagram:
+    d = Diagram()
+    for k in range(count):
+        d.nodes[f"s{k:03d}"] = kind
+    return d
+
+
+def test_packed_kernel_widens_fields_for_wide_values():
+    # each zero-legged spider is the scalar 1 + e^(i alpha); both products
+    # have coefficients past 2^64, wider than the first fields
+    assert interpret(_scalars(zspider(PiRational(0)), 130)).scalar() == \
+        CycloScalar.from_rational(2 ** 130, 8)
+    one_plus_zeta = CycloScalar.one(8) + root_of_unity(1, 4, 8)
+    want = CycloScalar.one(8)
+    for _ in range(90):
+        want = want * one_plus_zeta
+    assert max(map(abs, want.coeffs)) > 2 ** 64
+    assert interpret(_scalars(zspider(PiRational(1, 4)), 90)).scalar() == want
+
+
+def test_long_h_chain_recomputes_its_bound(monkeypatch):
+    # the bound on a tensor's entries grows along the chain while the
+    # values stay small: it is recomputed, and the 64-bit fields suffice
+    recomputed, widths = [], set()
+    bits, fit = FieldLayout.bits, interp._PackedRing.fit
+
+    def counting_bits(self, values):
+        recomputed.append(len(values))
+        return bits(self, values)
+
+    def recording_fit(self, tensors, extra):
+        out = fit(self, tensors, extra)
+        widths.update(t.fields.width for t in out)
+        return out
+
+    monkeypatch.setattr(FieldLayout, "bits", counting_bits)
+    monkeypatch.setattr(interp._PackedRing, "fit", recording_fit)
+    assert interpret(_h_chain(200)).entries == interpret(make_generator("identity")).entries
+    assert recomputed and widths == {64}
 
 
 def test_contraction_keeps_one_denominator_in_lowest_terms():
-    ring = interp._exact_ring(8)
-    den, data = interp._hbox_tensor(ring)
-    assert den == 2  # 1/sqrt2 = (z - z^3) / 2
-    t = interp._Tensor(["a0", "a1"], data, den)
-    for k in range(1, 400):
-        t = interp._contract_pair(t, interp._Tensor([f"a{k}", f"a{k + 1}"], data, den),
-                                  ring, 16)
-        # k + 1 H boxes: the identity when k + 1 is even, H otherwise
-        assert (t.den, list(t.data)) == ((1, [((0, 1),), None, None, ((0, 1),)])
-                                         if k % 2 else (den, list(data)))
+    # M = 8 runs the packed kernel, M = 24 the row kernel
+    for modulus in (8, 24):
+        ring = interp._exact_ring(modulus)
+        h = interp._Tensor(["a0", "a1"], *interp._hbox_tensor(ring))
+        assert h.den == 2  # 1/sqrt2 = (z^(M/8) - z^(3M/8)) / 2
+        t = h
+        for k in range(1, 400):
+            t = interp._contract_pair(
+                t, interp._Tensor([f"a{k}", f"a{k + 1}"], *interp._hbox_tensor(ring)), ring, 16)
+            # k + 1 H boxes: the identity when k + 1 is even, H otherwise
+            assert (t.den, ring.unpack(t)) == ((1, [ring.one, ring.zero, ring.zero, ring.one])
+                                               if k % 2 else (h.den, ring.unpack(h)))
 
 
 def test_module_caches_stay_bounded():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zxexact.cyclotomic import CycloScalar, membership_solve, sqrt_two
+from zxexact.cyclotomic import CycloScalar, cyclotomic_polynomial, membership_solve, sqrt_two
 from zxexact.diagram import (
     Diagram, PiRational, X, Z, hbox, make_generator, make_spider,
     sequential_compose, tensor_product, xspider, zspider,
@@ -155,6 +155,26 @@ def test_resource_cap():
         interpret(d, max_rank=4)
     plan = plan_contraction(make_spider(Z, PiRational(0), 2, 2))
     assert plan.peak_rank <= 4
+
+
+def test_modulus_cap_rejects_a_field_before_building_it():
+    # an X spider with a self-loop at phase pi/99991: M = 799,928
+    d = Diagram()
+    d.nodes["x"] = xspider(PiRational(1, 99991))
+    d.add_edge("x", "x")
+    built = cyclotomic_polynomial.cache_info().misses
+    with pytest.raises(ResourceLimitError, match="modulus 799928 exceeds cap"):
+        interpret(d)
+    with pytest.raises(ResourceLimitError):
+        node_tensor(zspider(PiRational(1, 4)), 0, 1, modulus=2 * interp.MAX_MODULUS)
+    assert cyclotomic_polynomial.cache_info().misses == built
+    assert all(M <= interp.MAX_MODULUS for M in interp._RING_CACHE)
+    # each matrix within the cap, the field of both beyond it
+    a = node_tensor(zspider(PiRational(1, 257)), 0, 1)
+    b = node_tensor(zspider(PiRational(1, 263)), 0, 1)
+    assert math.lcm(a.modulus, b.modulus) > interp.MAX_MODULUS
+    with pytest.raises(ResourceLimitError):
+        a.kron(b)
 
 
 # -- contraction planner ------------------------------------------------------------

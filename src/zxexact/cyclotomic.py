@@ -14,17 +14,15 @@ the cyclotomic polynomial Phi_M, built as a Moebius product of binomials.
 ``Fraction`` appears only at the edges: constructor input, ``scale``,
 ``canonical`` and subfield membership.
 
-Bulk work uses two internal forms, for many values over one shared
-denominator, so that exact contraction makes no scalar per product and
-per sum.  Coefficient rows hold a value's sparse non-zero integer
-coefficients (``to_rows``); a contraction kernel multiplies rows into one
-integer buffer per output entry, reduces it modulo Phi_M once
-(``reduce_row``), and ``from_row`` turns a row back into a canonical
-scalar.  At a power-of-two modulus, where Phi_M = X^(M/2) + 1, a
-``FieldLayout`` packs a value's coefficients into fixed-width fields of
-one Python int, so a product is one bigint multiply and its reduction a
-mask, a shift and a subtraction.  The caches keyed by a modulus are
-bounded.
+Bulk work uses one internal form, for many values over one shared
+power-of-two denominator, so that exact contraction makes no scalar per
+product and per sum.  M is divisible by 8, so Phi_M divides X^(M/2) + 1
+and the negacyclic ring Z[X]/(X^(M/2) + 1) maps onto Z[zeta_M]; a
+``FieldLayout`` packs a value of that ring into fixed-width fields of one
+Python int, so a product is one bigint multiply and its reduction a mask,
+a shift and a subtraction.  Only ``FieldLayout.scalar`` reduces modulo
+Phi_M, when a final entry becomes a ``CycloScalar``; at a power-of-two M
+that reduction does nothing.  The caches keyed by a modulus are bounded.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 from struct import Struct
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -141,86 +139,33 @@ def _reduce(M: int, buf: list[int]) -> list[int]:
     return buf
 
 
-# ---------------------------------------------------------------------------
-# coefficient rows: the storage of exact tensors during contraction
-# ---------------------------------------------------------------------------
-# A row is one value's non-zero integer coefficients over the power basis as
-# ``(power, coefficient)`` pairs in increasing power, or None for zero; the
-# rows of one tensor share one positive denominator.  A contraction kernel
-# multiplies rows into a buffer of 2*phi(M) - 1 integers with
-# ``buf[p1 + p2] += c1 * c2`` and reduces each output entry's buffer once.
-
-Row = Optional[tuple[tuple[int, int], ...]]
-
-
-def to_rows(values: Sequence["CycloScalar"]) -> tuple[int, tuple[Row, ...]]:
-    """Values of one modulus as rows over their least common denominator.
-    A value object that recurs gets one shared row."""
-    den = lcm(*(v.den for v in values))
-    rows: dict[int, Row] = {}
-    for v in values:
-        if id(v) not in rows:
-            k = den // v.den
-            rows[id(v)] = tuple((p, c * k) for p, c in enumerate(v.coeffs) if c) or None
-    return den, tuple(rows[id(v)] for v in values)
-
-
-def reduce_row(M: int, buf: list[int]) -> Row:
-    """The row of a product buffer (low to high), reduced modulo Phi_M."""
-    return tuple([(p, c) for p, c in enumerate(_reduce(M, buf)) if c]) or None
-
-
-def add_rows(M: int, a: Row, b: Row) -> Row:
-    """The sum of two rows over the same denominator."""
-    buf = [0] * _phi_tail(M)[0]
-    for p, c in (a or ()) + (b or ()):
-        buf[p] += c
-    return reduce_row(M, buf)
-
-
-def rows_in_lowest_terms(rows: list[Row], den: int) -> int:
-    """Divide the rows (in place) and their denominator by the gcd of all of
-    them; returns the new denominator."""
-    g = gcd(den, *(c for row in rows if row for _, c in row))
-    if g != 1:
-        for k, row in enumerate(rows):
-            if row:
-                rows[k] = tuple([(p, c // g) for p, c in row])
-    return den // g
-
-
 def _norm_bits(coeffs: Sequence[int]) -> int:
     """The least b >= 0 with sum(|c|) <= 2^b over ``coeffs``."""
     return max(sum(map(abs, coeffs)) - 1, 0).bit_length()
 
 
-def from_row(M: int, row: Row, den: int) -> "CycloScalar":
-    """The canonical scalar of a row over ``den``."""
-    coeffs = [0] * _phi_tail(M)[0]
-    for p, c in row or ():
-        coeffs[p] = c
-    return CycloScalar._make(M, coeffs, den)
-
-
 # ---------------------------------------------------------------------------
-# packed values: the storage of exact tensors at power-of-two moduli
+# packed values: the storage of exact tensors
 # ---------------------------------------------------------------------------
-# When M is a power of two, Phi_M = X^n + 1 with n = M/2.  A packed value is
-# one Python int, sum(c_k << (k * width)) over its n power-basis
-# coefficients, each in a signed field that holds
-# -2^(width-1) <= c_k < 2^(width-1).  Sums and products of packed ints are
-# the packed sums and products of the values (a product has 2n - 1 fields)
-# as long as no field leaves that range; a field that did would silently
-# spill into its neighbour, so callers bound their values' sizes.  The bound
-# is on the norm |a| = sum of |a_k|, which bounds every coefficient and
-# every field of a product: |a * b| <= |a| * |b|, reduced or not, and
-# |a + b| <= |a| + |b|.
+# Every modulus M is divisible by 8, so zeta_M^n = -1 with n = M/2: Phi_M
+# divides X^n + 1, and X -> zeta_M maps the negacyclic ring Z[X]/(X^n + 1)
+# onto Z[zeta_M].  Exact tensors are computed in that ring and reduced
+# modulo Phi_M only when a final entry becomes a scalar; at a power-of-two
+# M, X^n + 1 is Phi_M itself.  A packed value is one Python int,
+# sum(c_k << (k * width)) over its n coefficients, each in a signed field
+# that holds -2^(width-1) <= c_k < 2^(width-1).  Sums and products of packed
+# ints are the packed sums and products of the values (a product has 2n - 1
+# fields) as long as no field leaves that range; a field that did would
+# silently spill into its neighbour, so callers bound their values' sizes.
+# The bound is on the norm |a| = sum of |a_k|, which bounds every
+# coefficient and every field of a product: |a * b| <= |a| * |b|, reduced
+# or not, and |a + b| <= |a| + |b|.
 
 class FieldLayout:
     """Fields of ``width`` bits, a multiple of 8, for the n = M/2
-    coefficients of values at a power-of-two modulus M.  The fields hold
-    every value, product or sum of products whose norm is at most
-    2^limit."""
+    coefficients of values in Z[X]/(X^n + 1) at a modulus M divisible by 8.
+    The fields hold every value, product or sum of products whose norm is
+    at most 2^limit."""
 
     __slots__ = ("modulus", "n", "width", "limit", "shift", "low", "bias", "half", "parity",
                  "words")
@@ -235,8 +180,9 @@ class FieldLayout:
         self.bias = ones << (width - 1)  # 2^(width-1) in each field of a product: all >= 0
         self.half = self.bias & self.low  # the same for the n fields of a value
         self.parity = ones & self.low  # bit 0 of each of n fields
-        # 64-bit fields, the common width, decode in one call
-        self.words = Struct(f"<{n}Q") if width == 64 else None
+        # 32- and 64-bit fields, the common widths, decode in one call
+        code = {32: "I", 64: "Q"}.get(width)
+        self.words = Struct(f"<{n}{code}") if code else None
 
     def encode(self, coeffs: Sequence[int]) -> int:
         """The packed int of n coefficients; raises OverflowError for a
@@ -253,17 +199,19 @@ class FieldLayout:
             return [w - h for w in self.words.unpack(raw)]
         return [int.from_bytes(raw[k:k + step], "little") - h for k in range(0, len(raw), step)]
 
-    def bits(self, values: Sequence[int]) -> int:
+    def bits(self, values: Iterable[int]) -> int:
         """The least b >= 0 with norm at most 2^b for each of ``values``."""
         return max((_norm_bits(self.decode(v)) for v in values if v), default=0)
 
+    def reduce(self, value: int) -> int:
+        """A packed product (2n - 1 fields) modulo X^n + 1: with every field
+        biased to be non-negative, the low n fields minus the high n."""
+        q = value + self.bias
+        return (q & self.low) - (q >> self.shift)
+
     def reduce_in_lowest_terms(self, data: list[int], den: int) -> tuple[int, int]:
-        """Reduce every entry of ``data``, a packed sum of products (2n - 1
-        fields), modulo X^n + 1 in place: with every field biased to be
-        non-negative, the low n fields minus the high n.  Then divide the
-        entries and ``den`` by the largest power of two dividing all of them.
-        Returns the new denominator and the number of factors of 2 divided
-        out."""
+        """``reduce`` every entry of ``data`` in place, then divide the
+        entries and ``den`` as ``lowest_terms`` does."""
         bias, low, shift, half = self.bias, self.low, self.shift, self.half
         seen = 0  # bit j of field k is set when some entry's coefficient k has bit j set
         for k, v in enumerate(data):
@@ -271,6 +219,19 @@ class FieldLayout:
                 q = v + bias
                 v = data[k] = (q & low) - (q >> shift)
                 seen |= v + half
+        return self._strip(data, den, seen)
+
+    def lowest_terms(self, data: list[int], den: int) -> tuple[int, int]:
+        """Divide the entries of ``data`` (in place) and ``den`` by the
+        largest power of two dividing all of them.  Returns the new
+        denominator and the number of factors of 2 divided out."""
+        half = self.half
+        seen = 0
+        for v in data:
+            seen |= v + half
+        return self._strip(data, den, seen)
+
+    def _strip(self, data: list[int], den: int, seen: int) -> tuple[int, int]:
         strip = 0
         while not den & 1 and not seen & (self.parity << strip):
             strip += 1
@@ -280,8 +241,9 @@ class FieldLayout:
         return den, strip
 
     def scalar(self, value: int, den: int) -> "CycloScalar":
-        """The canonical scalar of a packed value over ``den``."""
-        return CycloScalar._make(self.modulus, self.decode(value), den)
+        """The canonical scalar of a packed value over ``den``: its
+        coefficients reduced modulo Phi_M."""
+        return CycloScalar._make(self.modulus, _reduce(self.modulus, self.decode(value)), den)
 
 
 @lru_cache(maxsize=MODULUS_CACHE_SIZE)

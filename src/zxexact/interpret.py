@@ -7,28 +7,26 @@ pairwise, in a greedy order that keeps intermediate rank small, with a hard
 cap; the order is built incrementally, rescoring after each merge only the
 pairs of the new tensor.
 
-The float backend stores complex entries.  The exact backend stores each
-tensor as one integer denominator and integer coefficients per entry over
-the power basis of Q(zeta_M), in one of two forms that M alone chooses:
+The float backend stores complex entries.  The exact backend has one
+kernel for every modulus M (divisible by 8).  zeta_M^(M/2) = -1, so Phi_M
+divides X^(M/2) + 1 and the negacyclic ring Z[X]/(X^(M/2) + 1) maps onto
+Z[zeta_M]; contraction runs in that ring.  Each tensor has one
+power-of-two denominator and each entry is one Python int holding its M/2
+signed coefficients in fixed-width fields (``cyclotomic.FieldLayout``).
+The products of an output entry are bigint multiplies summed into one int,
+reduced modulo X^(M/2) + 1 by a biased mask, a shift and a subtraction;
+lowest terms take a parity mask and a shift.  A bound on each tensor's
+values keeps every field from spilling into the next, widening the fields
+when needed.  Leaves are built in the ring itself (``_ExactRing``) and
+cached.
 
-- At a power-of-two M, where Phi_M = X^(M/2) + 1, each entry is one
-  Python int holding its M/2 signed coefficients in fixed-width fields
-  (``cyclotomic.FieldLayout``).  The products of an output entry are
-  bigint multiplies summed into one int, reduced modulo Phi_M by a biased
-  mask, a shift and a subtraction; every denominator is a power of two,
-  so lowest terms take a parity mask and a shift.  A bound on each
-  tensor's values keeps every field from spilling into the next, widening
-  the fields when needed.
-- At any other M, each entry is a sparse row of coefficients
-  (``cyclotomic.to_rows``); the schoolbook products of an output entry go
-  into one integer buffer, reduced modulo Phi_M once, and one gcd per
-  result keeps the denominator in lowest terms.
-
-Either way integers do not grow along long chains.  Leaf tensors are
-cached in their ring's form; ``CycloScalar``s are made only for the final
-matrix and for ``node_tensor``.  All backends share the axis bookkeeping of
-a contraction, and the float and packed backends its inner loop.  The
-modulus is capped at ``MAX_MODULUS``.
+``interpret`` returns a ``SemanticMatrix`` that keeps the final
+denominator and packed entries; it reduces an entry modulo Phi_M into a
+``CycloScalar`` only when ``entries`` is first read, and at a power-of-two
+M that reduction does nothing.  ``matrix_compare`` decides two matrices of
+identical kernel form equal without making any scalar.  All backends share
+the axis bookkeeping and the inner loop of a contraction.  The modulus is
+capped at ``MAX_MODULUS``.
 """
 
 from __future__ import annotations
@@ -38,12 +36,10 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from .cyclotomic import (
-    CycloScalar, FieldLayout, _norm_bits, add_rows, euler_phi, from_row, lift_modulus,
-    reduce_row, root_of_unity, rows_in_lowest_terms, sqrt_two, to_rows,
+    CycloScalar, FieldLayout, ModulusError, _check_modulus, lift_modulus,
 )
 from .diagram import (
     Diagram, NodeKind, Phase, PiRational, H, X, Z, _norm_edge,
@@ -66,15 +62,15 @@ class ResourceLimitError(RuntimeError):
 # ---------------------------------------------------------------------------
 # scalar backends
 # ---------------------------------------------------------------------------
-# A ring builds leaf tensors from its scalars and stores tensors in its own
-# form: ``pack`` turns a leaf's scalars into the ``_Tensor`` fields after
-# the axes (``den``, ``data`` and, for packed tensors, ``bits`` and
-# ``fields``), ``unpack`` turns a tensor's data back into scalars,
-# ``contract`` runs the inner loop of a pairwise contraction and ``fit``
-# makes room for a sum before ``_self_trace`` adds entries.  The float ring
-# stores plain complex numbers; the exact ring coefficient rows over one
-# denominator per tensor (see ``cyclotomic.to_rows``), or, at a power-of-two
-# modulus, packed ints (``cyclotomic.FieldLayout``).
+# A ring builds leaf tensors from its leaf scalars (``one``, ``zero``,
+# ``phase``, ``inv_sqrt2_pow`` and ``mul``) and stores tensors in its own
+# form: ``pack`` turns a leaf's denominator and scalars into the ``_Tensor``
+# fields after the axes (``den``, ``data`` and, for exact tensors, ``bits``
+# and ``fields``), ``contract`` runs the inner loop of a pairwise
+# contraction, ``fit`` makes room for a sum before ``_self_trace`` adds
+# entries, and ``matrix`` makes the final ``SemanticMatrix``.  The float ring
+# stores plain complex numbers, the exact ring packed ints
+# (``cyclotomic.FieldLayout``).
 
 # Bounds of the module caches: the four benchmark workloads use at most 10
 # rings and about 2,000 leaf tensors.
@@ -88,7 +84,7 @@ MAX_MODULUS = 65536
 
 # Bits per coefficient field of a packed tensor; a tensor whose coefficient
 # bound outgrows its fields is re-encoded in wider ones (a multiple of this).
-FIELD_WIDTH = 64
+FIELD_WIDTH = 32
 
 
 def _bounded_put(cache: dict, key, value, limit: int):
@@ -107,61 +103,38 @@ def _capped(M: int) -> int:
 
 
 class _ExactRing:
-    """Coefficient rows, at a modulus that is not a power of two."""
+    """Packed ints in Z[X]/(X^n + 1), n = M/2, which X -> zeta_M maps onto
+    Z[zeta_M].
+
+    Leaf scalars are packed ints in the narrowest fields: e^(i pi k/d) is
+    the monomial +-X^(j mod n) with j = kM/(2d), and 1/sqrt2 is
+    (X^(M/8) - X^(3M/8))/2, whose square is 1/2 in the ring, so
+    (1/sqrt2)^deg is 2^(-deg/2) for an even deg and that binomial over
+    2^((deg+1)/2) for an odd one.  X^n + 1 is the product of the Phi_d
+    with d | M and M/d odd; modulo each, X^(M/8) is a primitive 8th root of
+    unity, so 1/sqrt2 goes to +-1/sqrt2 and values stay as small as a
+    diagram's, over a power-of-two denominator.  Only the factor Phi_M is
+    read, by ``FieldLayout.scalar``.
+
+    Each tensor carries a bound ``bits``: no entry's norm
+    (``cyclotomic.FieldLayout``) exceeds 2^bits.  It is exact for leaves;
+    after a product it is b1 + b2 + the number of shared axes (a sum of
+    2^shared products), less the factors of 2 divided out; one more after a
+    self-trace.  When a result's bound would pass its fields' limit, ``fit``
+    recomputes the operands' bounds exactly and, if that is not enough,
+    re-encodes them in wider fields, so no field ever spills into its
+    neighbour."""
+
+    one, zero = 1, 0
 
     def __init__(self, modulus: int):
+        _check_modulus(modulus)
         self.modulus = modulus
-        self.zero = CycloScalar.zero(modulus)
-        self.one = CycloScalar.one(modulus)
-        self.width = 2 * euler_phi(modulus) - 1  # a product buffer of two rows
-        self._inv_sqrt2 = sqrt_two(modulus).scale(Fraction(1, 2))
-        self._inv_pows: dict[int, CycloScalar] = {0: self.one, 1: self._inv_sqrt2}
-        self.identity = self.pack([self.one, self.zero, self.zero, self.one])
-
-    def phase(self, phase: Phase) -> CycloScalar:
-        if not isinstance(phase, PiRational):
-            raise BackendError("exact backend requires exact phases")
-        return root_of_unity(phase.num, phase.den, self.modulus)
-
-    def inv_sqrt2_pow(self, k: int) -> CycloScalar:
-        out = self._inv_pows.get(k)
-        if out is None:
-            out = self.inv_sqrt2_pow(k - 1) * self._inv_sqrt2
-            self._inv_pows[k] = out
-        return out
-
-    pack = staticmethod(to_rows)
-
-    def unpack(self, t: "_Tensor") -> list[CycloScalar]:
-        return [from_row(self.modulus, row, t.den) for row in t.data]
-
-    def add(self, a, b):
-        return add_rows(self.modulus, a, b)
-
-    @staticmethod
-    def fit(tensors, extra: int):
-        return tensors
-
-    def contract(self, t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
-        data = _row_products(t1.data, t2.data, *layout, self.modulus, self.width)
-        return _Tensor(axes, rows_in_lowest_terms(data, t1.den * t2.den), data)
-
-
-class _PackedRing(_ExactRing):
-    """Packed ints: a power-of-two modulus M, where Phi_M = X^(M/2) + 1.
-
-    Every denominator is a power of two.  Each tensor carries a bound
-    ``bits``: no entry's norm (``cyclotomic.FieldLayout``) exceeds 2^bits.
-    It is exact for leaves; after a product it is b1 + b2 + the number of
-    shared axes (a sum of 2^shared products), less the factors of 2 divided
-    out; one more after a self-trace.  When a result's bound would pass its
-    fields' limit, ``fit`` recomputes the operands' bounds exactly and, if
-    that is not enough, re-encodes them in wider fields, so no field ever
-    spills into its neighbour."""
-
-    def __init__(self, modulus: int):
         self._layouts: dict[int, FieldLayout] = {}
-        super().__init__(modulus)
+        self.leaf_fields = self.fields(0)
+        w = FIELD_WIDTH
+        self._root2 = (1 << (modulus // 8) * w) - (1 << (3 * modulus // 8) * w)
+        self.identity = self.pack(1, (1, 0, 0, 1))
 
     def fields(self, bits: int) -> FieldLayout:
         """The narrowest layout whose fields hold norms of 2^bits."""
@@ -171,17 +144,25 @@ class _PackedRing(_ExactRing):
             layout = self._layouts[width] = FieldLayout(self.modulus, width)
         return layout
 
-    def pack(self, values) -> tuple:
-        den = math.lcm(*(v.den for v in values))
-        coeffs = [[c * (den // v.den) for c in v.coeffs] for v in values]
-        bits = max(map(_norm_bits, coeffs), default=0)
-        fields = self.fields(bits)
-        return den, tuple(map(fields.encode, coeffs)), bits, fields
+    def phase(self, phase: Phase) -> int:
+        if not isinstance(phase, PiRational):
+            raise BackendError("exact backend requires exact phases")
+        M, n = self.modulus, self.modulus // 2
+        if M % (2 * phase.den):
+            raise ModulusError(f"modulus {M} not divisible by 2*{phase.den}")
+        j = phase.num * (M // (2 * phase.den)) % M
+        return (1 << j * FIELD_WIDTH) if j < n else -(1 << (j - n) * FIELD_WIDTH)
 
-    def unpack(self, t: "_Tensor") -> list[CycloScalar]:
-        return [t.fields.scalar(v, t.den) for v in t.data]
+    def inv_sqrt2_pow(self, k: int) -> tuple[int, int]:
+        """(1/sqrt2)^k as a denominator and a leaf scalar."""
+        return (1 << k // 2, 1) if k % 2 == 0 else (1 << (k + 1) // 2, self._root2)
 
-    add = staticmethod(operator.add)
+    def mul(self, a: int, b: int) -> int:
+        return self.leaf_fields.reduce(a * b)
+
+    def pack(self, den: int, values) -> tuple:
+        """A leaf's fields; each distinct value is one shared int."""
+        return den, tuple(values), self.leaf_fields.bits(set(values)), self.leaf_fields
 
     def fit(self, tensors, extra: int):
         """``tensors`` in one layout whose fields hold a result bounded by
@@ -206,6 +187,12 @@ class _PackedRing(_ExactRing):
         den, strip = t1.fields.reduce_in_lowest_terms(data, t1.den * t2.den)
         return _Tensor(axes, den, data, t1.bits + t2.bits + extra - strip, t1.fields)
 
+    @staticmethod
+    def matrix(den: int, data: list, fields: FieldLayout, n_in: int, n_out: int):
+        # one final strip: at a power-of-two M this form is canonical
+        den, _ = fields.lowest_terms(data, den)
+        return SemanticMatrix._packed(den, data, fields, n_in, n_out)
+
 
 _RING_CACHE: dict[int, _ExactRing] = {}
 
@@ -213,8 +200,7 @@ _RING_CACHE: dict[int, _ExactRing] = {}
 def _exact_ring(modulus: int) -> _ExactRing:
     ring = _RING_CACHE.get(modulus)
     if ring is None:
-        kind = _PackedRing if modulus & (modulus - 1) == 0 else _ExactRing
-        ring = _bounded_put(_RING_CACHE, modulus, kind(_capped(modulus)), RING_CACHE_SIZE)
+        ring = _bounded_put(_RING_CACHE, modulus, _ExactRing(_capped(modulus)), RING_CACHE_SIZE)
     return ring
 
 
@@ -223,24 +209,19 @@ class _FloatRing:
     zero = complex(0)
     one = complex(1)
     identity = (1, (one, zero, zero, one))
+    mul = staticmethod(operator.mul)
 
     @staticmethod
     def phase(phase: Phase) -> complex:
         return cmath.exp(1j * phase_radians(phase))
 
     @staticmethod
-    def inv_sqrt2_pow(k: int) -> complex:
-        return complex(2 ** (-k / 2.0))
+    def inv_sqrt2_pow(k: int) -> tuple[int, complex]:
+        return 1, complex(2 ** (-k / 2.0))
 
     @staticmethod
-    def pack(values) -> tuple[int, tuple]:
+    def pack(den: int, values) -> tuple[int, tuple]:
         return 1, tuple(values)
-
-    @staticmethod
-    def unpack(t: "_Tensor"):
-        return t.data
-
-    add = staticmethod(operator.add)
 
     @staticmethod
     def fit(tensors, extra: int):
@@ -249,6 +230,12 @@ class _FloatRing:
     @staticmethod
     def contract(t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
         return _Tensor(axes, 1, _products(t1.data, t2.data, *layout, complex(0)))
+
+    @staticmethod
+    def matrix(den: int, data: list, fields, n_in: int, n_out: int):
+        cols = 1 << n_in
+        return SemanticMatrix([data[r:r + cols] for r in range(0, len(data), cols)],
+                              n_in, n_out, FLOAT)
 
 
 def choose_modulus(d: Diagram) -> int:
@@ -280,7 +267,7 @@ def _ring_for(d: Diagram, backend: str):
 class _Tensor:
     """Entries over axes (the first axis most significant) in a ring's
     storage form, all divided by ``den``; a packed tensor also has its
-    ``fields`` and a bound ``bits`` on its entries' norm (``_PackedRing``)."""
+    ``fields`` and a bound ``bits`` on its entries' norm (``_ExactRing``)."""
 
     __slots__ = ("axes", "den", "data", "bits", "fields")
 
@@ -302,16 +289,16 @@ def _spider_tensor_fresh(kind_name: str, phase: Phase, degree: int, ring) -> tup
     size = 1 << degree
     if kind_name == Z:
         if degree == 0:
-            return (ring.one + ph,)
+            return ring.pack(1, (ring.one + ph,))
         data = [ring.zero] * size
         data[0] = ring.one
         data[size - 1] = ph
-        return tuple(data)
+        return ring.pack(1, data)
     # X spider: (1/sqrt2)^degree * (1 + e^{ia} * (-1)^popcount)
-    scale = ring.inv_sqrt2_pow(degree)
-    plus = scale * (ring.one + ph)
-    minus = scale * (ring.one - ph)
-    return tuple(plus if bin(i).count("1") % 2 == 0 else minus for i in range(size))
+    den, scale = ring.inv_sqrt2_pow(degree)
+    plus = ring.mul(scale, ring.one + ph)
+    minus = ring.mul(scale, ring.one - ph)
+    return ring.pack(den, [plus if bin(i).count("1") % 2 == 0 else minus for i in range(size)])
 
 
 # (modulus, kind, phase, degree) -> a leaf's ``ring.pack`` fields
@@ -320,12 +307,13 @@ _TENSOR_CACHE: dict[tuple, tuple] = {}
 
 def _spider_tensor(kind: NodeKind, degree: int, ring) -> tuple:
     if not isinstance(kind.phase, PiRational):  # a float angle rarely recurs: not cached
-        return ring.pack(_spider_tensor_fresh(kind.kind, kind.phase, degree, ring))
+        return _spider_tensor_fresh(kind.kind, kind.phase, degree, ring)
     key = (ring.modulus, kind.kind, kind.phase, degree)
     packed = _TENSOR_CACHE.get(key)
     if packed is None:
-        packed = _bounded_put(_TENSOR_CACHE, key, ring.pack(
-            _spider_tensor_fresh(kind.kind, kind.phase, degree, ring)), TENSOR_CACHE_SIZE)
+        packed = _bounded_put(_TENSOR_CACHE, key,
+                              _spider_tensor_fresh(kind.kind, kind.phase, degree, ring),
+                              TENSOR_CACHE_SIZE)
     return packed
 
 
@@ -333,8 +321,9 @@ def _hbox_tensor(ring) -> tuple:
     key = (ring.modulus, H, None, 2)
     packed = _TENSOR_CACHE.get(key)
     if packed is None:
-        s = ring.inv_sqrt2_pow(1)
-        packed = _bounded_put(_TENSOR_CACHE, key, ring.pack((s, s, s, -s)), TENSOR_CACHE_SIZE)
+        den, s = ring.inv_sqrt2_pow(1)
+        packed = _bounded_put(_TENSOR_CACHE, key, ring.pack(den, (s, s, s, -s)),
+                              TENSOR_CACHE_SIZE)
     return packed
 
 
@@ -370,13 +359,12 @@ def _self_trace(t: _Tensor, ring) -> _Tensor:
         m = len(rest)
         data = [None] * (1 << m)
         (t,) = ring.fit((t,), 1)
-        add = ring.add
         for idx in range(1 << m):
             base = 0
             for bit in range(m):
                 if (idx >> (m - 1 - bit)) & 1:
                     base += rest_strides[bit]
-            data[idx] = add(t.data[base], t.data[base + si + sj])
+            data[idx] = t.data[base] + t.data[base + si + sj]
         t = _Tensor(rest, t.den, data, t.bits + 1, t.fields)
 
 
@@ -394,8 +382,8 @@ def _bases(free_axes: list[str], strides: dict[str, int]) -> list[int]:
 
 def _contract_pair(t1: _Tensor, t2: _Tensor, ring, max_rank: int) -> _Tensor:
     """Sum over the shared axes; the result's axes are t1's free axes, then
-    t2's.  The axis bookkeeping is common to all rings; each runs its own
-    inner loop (``ring.contract``)."""
+    t2's.  The axis bookkeeping is common to both rings; each calls the
+    shared inner loop ``_products`` (``ring.contract``)."""
     in1, in2 = set(t1.axes), set(t2.axes)
     shared = [a for a in t1.axes if a in in2]
     f1 = [a for a in t1.axes if a not in in2]
@@ -427,33 +415,6 @@ def _products(d1, d2, b1, b2, sh1, sh2, zero) -> list:
                 acc = term if acc is None else acc + term
             if acc is not None:
                 data[row + i2] = acc
-    return data
-
-
-def _row_products(d1, d2, b1, b2, sh1, sh2, M: int, width: int) -> list:
-    """Each output entry collects its schoolbook products in one integer
-    buffer, reduced modulo Phi_M once; the denominators are left to the
-    caller."""
-    n_f2 = len(b2)
-    data = [None] * (len(b1) * n_f2)
-    for i1, base1 in enumerate(b1):
-        row = i1 * n_f2
-        pairs = [(v1, o2) for o1, o2 in zip(sh1, sh2) if (v1 := d1[base1 + o1])]
-        if not pairs:
-            continue
-        for i2, base2 in enumerate(b2):
-            buf = None
-            for v1, o2 in pairs:
-                v2 = d2[base2 + o2]
-                if v2 is None:
-                    continue
-                if buf is None:
-                    buf = [0] * width
-                for p1, c1 in v1:
-                    for p2, c2 in v2:
-                        buf[p1 + p2] += c1 * c2
-            if buf is not None:
-                data[row + i2] = reduce_row(M, buf)
     return data
 
 
@@ -535,15 +496,53 @@ def _plan_greedy(axes_list: list[list[str]], max_rank: int) -> ContractionPlan:
 Scalar = Union[CycloScalar, complex]
 
 
-@dataclass
 class SemanticMatrix:
-    """A 2^m x 2^n matrix; row bits are outputs (output 0 most significant)."""
+    """A 2^m x 2^n matrix; row bits are outputs (output 0 most significant).
 
-    entries: list[list[Scalar]]
-    n_inputs: int
-    m_outputs: int
-    backend: str
-    modulus: Optional[int] = None
+    An exact matrix from ``interpret`` or ``node_tensor`` keeps the kernel's
+    form of its entries, one denominator and the packed values in row-major
+    order, and makes the ``CycloScalar``s of ``entries`` when they are
+    first read; treat a matrix as immutable.  Matrices compare by value and
+    are unhashable."""
+
+    __hash__ = None
+
+    def __init__(self, entries: list[list[Scalar]], n_inputs: int, m_outputs: int,
+                 backend: str, modulus: Optional[int] = None):
+        self._entries = entries
+        self.n_inputs = n_inputs
+        self.m_outputs = m_outputs
+        self.backend = backend
+        self.modulus = modulus
+        self._kernel: Optional[tuple[int, list[int], FieldLayout]] = None
+
+    @classmethod
+    def _packed(cls, den: int, data: list[int], fields: FieldLayout, n_inputs: int,
+                m_outputs: int) -> "SemanticMatrix":
+        m = cls(None, n_inputs, m_outputs, EXACT, fields.modulus)
+        m._kernel = (den, data, fields)
+        return m
+
+    @property
+    def entries(self) -> list[list[Scalar]]:
+        if self._entries is None:
+            den, data, fields = self._kernel
+            cols = self.cols
+            self._entries = [[fields.scalar(v, den) for v in data[r:r + cols]]
+                             for r in range(0, len(data), cols)]
+        return self._entries
+
+    def _key(self) -> tuple:
+        return self.entries, self.n_inputs, self.m_outputs, self.backend, self.modulus
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return ("SemanticMatrix(entries={!r}, n_inputs={!r}, m_outputs={!r}, backend={!r}, "
+                "modulus={!r})".format(*self._key()))
 
     @property
     def rows(self) -> int:
@@ -626,12 +625,13 @@ def _lift_matrix(m: SemanticMatrix, M: int) -> SemanticMatrix:
 # interpretation
 # ---------------------------------------------------------------------------
 
-def _as_matrix(flat, axes: list[str], inputs: list[str], outputs: list[str]) -> list[list]:
-    """Reshape entries over ``axes`` into rows over the output axes and
-    columns over the input axes (the first of each most significant)."""
-    strides = _strides(axes)
+def _matrix(t: _Tensor, ring, inputs: list[str], outputs: list[str]) -> SemanticMatrix:
+    """The matrix of ``t``: rows over the output axes and columns over the
+    input axes (the first of each most significant)."""
+    strides = _strides(t.axes)
     cols = _bases(inputs, strides)
-    return [[flat[r + c] for c in cols] for r in _bases(outputs, strides)]
+    flat = [t.data[r + c] for r in _bases(outputs, strides) for c in cols]
+    return ring.matrix(t.den, flat, t.fields, len(inputs), len(outputs))
 
 
 def node_tensor(kind: NodeKind, n_in: int, n_out: int, backend: str = EXACT,
@@ -649,9 +649,8 @@ def node_tensor(kind: NodeKind, n_in: int, n_out: int, backend: str = EXACT,
     # legs ordered inputs then outputs; symmetric tensors make the order moot
     inputs = [f"i{k}" for k in range(n_in)]
     outputs = [f"o{k}" for k in range(n_out)]
-    flat = ring.unpack(_Tensor([], *_leaf_tensor(kind, n_in + n_out, ring)))
-    return SemanticMatrix(_as_matrix(flat, inputs + outputs, inputs, outputs),
-                          n_in, n_out, backend, ring.modulus)
+    return _matrix(_Tensor(inputs + outputs, *_leaf_tensor(kind, n_in + n_out, ring)), ring,
+                   inputs, outputs)
 
 
 def _split_high_degree(d: Diagram, limit: int) -> Diagram:
@@ -757,15 +756,14 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
             next_id += 1
         final = pool.popitem()[1]
     else:
-        final = _Tensor([], *ring.pack([ring.one]))
+        final = _Tensor([], *ring.pack(1, [ring.one]))
 
     # order open axes: inputs then outputs, then reshape to a matrix
     inputs = [f"p:{p}" for p in d.inputs]
     outputs = [f"p:{p}" for p in d.outputs]
     if sorted(inputs + outputs) != sorted(final.axes):
         raise AssertionError("open axes do not match boundary ports")
-    ents = _as_matrix(ring.unpack(final), final.axes, inputs, outputs)
-    return SemanticMatrix(ents, d.n_inputs, d.n_outputs, backend, ring.modulus)
+    return _matrix(final, ring, inputs, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +808,8 @@ def matrix_compare(a: SemanticMatrix, b: SemanticMatrix, tol: float = 1e-9) -> C
     if (a.n_inputs, a.m_outputs) != (b.n_inputs, b.m_outputs):
         raise ValueError("matrix dimensions differ")
     if a.backend == EXACT and b.backend == EXACT:
+        if a._kernel is not None and a._kernel == b._kernel:
+            return CompareResult(True)  # one packed form, one ring element
         aa, bb = _align(a, b)
         for r in range(aa.rows):
             for c in range(aa.cols):

@@ -9,6 +9,8 @@ all phases are exact.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -19,7 +21,7 @@ from .diagram import (
     scale_phase, transform_variant, xspider, zspider,
 )
 from .interpret import (
-    EXACT, FLOAT, ResourceLimitError, interpret, invariant_r, matrix_compare,
+    EXACT, FLOAT, MAX_MODULUS, ResourceLimitError, interpret, invariant_r, matrix_compare,
 )
 
 
@@ -592,17 +594,21 @@ class SuiteReport:
         }
 
 
+def _check_grids(max_arity: int, grid_den: int) -> None:
+    """Refuse a sweep whose arities or angle field pass a cap, before any
+    grid is built."""
+    if max_arity > MAX_ARITY:
+        raise RuleError(f"max arity {max_arity} above cap {MAX_ARITY}")
+    M = math.lcm(8, 2 * grid_den)
+    if M > MAX_MODULUS:
+        raise RuleError(f"angle grid pi/{grid_den} needs modulus {M}, above cap {MAX_MODULUS}")
+
+
 def _iter_exact_bindings(schema: RuleSchema, max_arity: int, grid_den: int) -> Iterable[dict]:
     angle_values = _angle_grid(grid_den)
     for arities in schema.arity_grid(max_arity):
-        if not schema.angle_params:
-            yield dict(arities)
-            continue
-        slots = [dict()]
-        for p in schema.angle_params:
-            slots = [dict(s, **{p: v}) for s in slots for v in angle_values]
-        for s in slots:
-            yield dict(arities, **s)
+        for angles in itertools.product(angle_values, repeat=len(schema.angle_params)):
+            yield dict(arities, **dict(zip(schema.angle_params, angles)))
 
 
 def soundness_suite(ruleset: str, max_arity: int = 3, grid_den: int = 4,
@@ -611,6 +617,7 @@ def soundness_suite(ruleset: str, max_arity: int = 3, grid_den: int = 4,
                     schema_names: Optional[list[str]] = None) -> SuiteReport:
     """Check every schema x variant x arity x grid angle exactly, plus
     ``n_random`` float-angle draws per schema at tolerance ``tol``."""
+    _check_grids(max_arity, grid_den)
     report = SuiteReport()
     schemas = ruleset_schemas(ruleset)
     if schema_names is not None:
@@ -656,6 +663,7 @@ class PreservationEntry:
 def invariant_preservation_check(ruleset: str, max_arity: int = 3,
                                  grid_den: int = 4) -> list[PreservationEntry]:
     """Which rules keep the odd-red-plus-H parity equal on both sides."""
+    _check_grids(max_arity, grid_den)
     out = []
     for schema in ruleset_schemas(ruleset):
         bad = None

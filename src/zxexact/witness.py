@@ -21,7 +21,7 @@ from .diagram import (
     tensor_product, xspider, zspider,
 )
 from .interpret import (
-    EXACT, FLOAT, interpret, invariant_r, is_zero, matrix_compare,
+    EXACT, FLOAT, MAX_MODULUS, interpret, invariant_r, is_zero, matrix_compare,
 )
 from .rules import (
     RuleInstance, check_soundness, instantiate, ruleset_schemas,
@@ -116,9 +116,13 @@ def witness_E_independence() -> WitnessReport:
 
 def witness_sqrt2(ks: Iterable[int] = range(1, 13)) -> WitnessReport:
     rep = WitnessReport("sqrt2")
-    for k in ks:
+    ks = list(ks)
+    for k in ks:  # every k is checked before any field is built
         if k < 1:
             raise ValueError("k must be >= 1")
+        if math.lcm(8, 2 * k) > MAX_MODULUS:
+            raise ValueError(f"k={k} needs modulus {math.lcm(8, 2 * k)}, above cap {MAX_MODULUS}")
+    for k in ks:
         K = 2 * k
         M = math.lcm(8, K)
         coords = membership_solve(lift_modulus(sqrt_two(8), M), K)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zxexact import rules, witness
 from zxexact.cli import run
 from zxexact.diagram import Diagram, PiRational, dump_diagram, xspider, zspider
 
@@ -149,6 +150,26 @@ def test_mutated_bundled_inputs_never_raise(name, data):
         file.write_text(json.dumps(obj), encoding="utf-8")
         for command in FUZZ_TARGETS[name]:
             assert run(command + [str(file)]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["suite", "soundness", "--grid", "100000"], "pi/100000 needs modulus 200000, above cap"),
+    (["suite", "invariants", "--grid", "32769"], "pi/32769 needs modulus 262152, above cap"),
+    (["suite", "soundness", "--max-arity", "100000"], "max arity 100000 above cap 1024"),
+    (["suite", "invariants", "--max-arity", "1025"], "max arity 1025 above cap 1024"),
+    (["witness", "sqrt2", "--k", "4,1000000"], "k=1000000 needs modulus 2000000, above cap"),
+])
+def test_oversized_flags_exit_two_before_any_grid_or_field(argv, message, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid or field was built")
+
+    for module, name in ((rules, "ruleset_schemas"), (rules, "_angle_grid"),
+                         (witness, "sqrt_two"), (witness, "lift_modulus"),
+                         (witness, "membership_solve")):
+        monkeypatch.setattr(module, name, refuse)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_missing_file_exits_two():

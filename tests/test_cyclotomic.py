@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zxexact.cyclotomic import (
-    CycloScalar, FieldLayout, ModulusError, _norm_bits, add_rows, cyclotomic_polynomial,
-    euler_phi, from_row, lift_modulus, membership_solve, reduce_row, root_of_unity,
-    rows_in_lowest_terms, sqrt_two, to_rows,
+    CycloScalar, FieldLayout, ModulusError, _norm_bits, cyclotomic_polynomial, euler_phi,
+    lift_modulus, membership_solve, root_of_unity, sqrt_two,
 )
 
 from helpers import cyclotomic_polynomial_reference
@@ -217,44 +216,26 @@ def test_cyclotomic_polynomial_large_moduli():
         assert poly[0] == poly[-1] == 1
 
 
-@given(_moduli_and_terms())
-@settings(max_examples=80, deadline=None)
-def test_rows_agree_with_scalar_ops(case):
-    M, ta, tb = case
-    a, b = CycloScalar(M, ta), CycloScalar(M, tb)
-    (da, (ra,)), (db, (rb,)) = to_rows([a]), to_rows([b])
-    assert from_row(M, ra, da) == a and from_row(M, rb, db) == b
-    buf = [0] * (2 * euler_phi(M) - 1)
-    for p1, c1 in ra or ():
-        for p2, c2 in rb or ():
-            buf[p1 + p2] += c1 * c2
-    product = reduce_row(M, buf)
-    assert from_row(M, product, da * db) == a * b
-    assert (product is None) == (a * b).is_zero()
-    den, (ra2, rb2) = to_rows([a, b])
-    assert from_row(M, add_rows(M, ra2, rb2), den) == a + b
-    rows = [ra2, rb2, None]
-    small = rows_in_lowest_terms(rows, 6 * den)
-    assert [from_row(M, r, small) for r in rows] == [a.scale(Fraction(1, 6)),
-                                                      b.scale(Fraction(1, 6)),
-                                                      CycloScalar.zero(M)]
-
-
-@given(st.sampled_from((8, 16, 32)), st.sampled_from((64, 128)), st.data())
-@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((8, 16, 32, 24, 40, 104, 312)), st.sampled_from((32, 64, 128)), st.data())
+@settings(max_examples=120, deadline=None)
 def test_packed_fields_agree_with_scalar_ops(M, width, data):
+    # packed values live in Z[X]/(X^(M/2) + 1), which X -> zeta_M maps onto
+    # Z[zeta_M] (the same ring at a power-of-two M); the CycloScalar
+    # constructor reduces each value's M/2 coefficients modulo Phi_M
     n = M // 2
     # coefficients up to the largest for which 24 * (a sum of 2 products of
     # n terms each) stays within the fields' limit
     top = 2 ** ((width - 2 - (2 * n).bit_length() - 5) // 2)
     coeffs = st.lists(st.integers(-top, top), min_size=n, max_size=n)
     ca, cb = data.draw(coeffs), data.draw(coeffs)
-    a, b = CycloScalar._make(M, list(ca), 1), CycloScalar._make(M, list(cb), 1)
+    a, b = CycloScalar(M, dict(enumerate(ca))), CycloScalar(M, dict(enumerate(cb)))
     fields = FieldLayout(M, width)
     pa, pb = fields.encode(ca), fields.encode(cb)
     assert fields.decode(pa) == ca and fields.decode(pb) == cb
     assert fields.bits([pa, 0, pb]) == max(_norm_bits(ca), _norm_bits(cb))
+    assert fields.scalar(pa, 1) == a and fields.scalar(pb, 1) == b
     assert fields.scalar(pa + pb, 1) == a + b
+    assert fields.scalar(fields.reduce(pa * pb), 1) == a * b
     # a product, a sum of two products, then 2 * 3 * 4 over the denominator 4 * 16
     entries = [pa * pb, pa * pb + pb * pb, 0, 24 * pa * pa]
     den, strip = fields.reduce_in_lowest_terms(entries, 64)
@@ -264,6 +245,8 @@ def test_packed_fields_agree_with_scalar_ops(M, width, data):
     assert got == want
     assert den * 2 ** strip == 64
     assert den == 1 or any(c % 2 for v in entries for c in fields.decode(v))  # lowest terms
+    doubled = [2 * v for v in entries]
+    assert fields.lowest_terms(doubled, 2 * den) == (den, 1) and doubled == entries
 
 
 def test_packed_fields_refuse_a_coefficient_that_does_not_fit():

@@ -1,19 +1,23 @@
-"""The exact contraction kernels against independent oracles (the float
-backend, matmul/kron functoriality, a long H-box chain, each other): the
-packed kernel at power-of-two moduli and the row kernel at the others.
-Also the widening of packed fields, and the size bounds of the module
-caches."""
+"""The exact contraction kernel against independent oracles (the float
+backend, matmul/kron functoriality, a long H-box chain, itself at a larger
+modulus): one packed kernel in Z[X]/(X^(M/2) + 1) at every modulus M.
+Also the widening of packed fields, the kernel form kept by
+``SemanticMatrix`` and the compare that reads it, and the size bounds of
+the module caches."""
 
 import importlib
 import random
+from fractions import Fraction
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zxexact import cyclotomic
-from zxexact.cyclotomic import CycloScalar, FieldLayout, root_of_unity
+from zxexact.cyclotomic import CycloScalar, FieldLayout, root_of_unity, sqrt_two
 from zxexact.diagram import (
-    Z, Diagram, PiRational, hbox, make_generator, make_spider, sequential_compose,
+    X, Z, Diagram, PiRational, hbox, make_generator, make_spider, sequential_compose,
     tensor_product, xspider, zspider,
 )
 from zxexact.interpret import interpret, matrix_compare, node_tensor
@@ -104,7 +108,8 @@ def test_chain_of_400_h_boxes_is_the_identity():
 def test_packed_kernel_agrees_with_row_kernel(seed, den):
     d = random_diagram(random.Random(seed), max_nodes=6, den=den, max_ports=4)
     # beside a scalar 2pi/3 spider the product interprets at M = 24 or 48,
-    # in the row kernel; d alone interprets at M = 8 or 16, in the packed one
+    # where the kernel's ring Z[X]/(X^(M/2) + 1) is larger than Z[zeta_M];
+    # d alone interprets at M = 8 or 16, where the two are the same
     s = make_spider(Z, PiRational(2, 3), 0, 0)
     packed = interpret(d)
     assert packed.modulus in (8, 16)
@@ -133,9 +138,9 @@ def test_packed_kernel_widens_fields_for_wide_values():
 
 def test_long_h_chain_recomputes_its_bound(monkeypatch):
     # the bound on a tensor's entries grows along the chain while the
-    # values stay small: it is recomputed, and the 64-bit fields suffice
+    # values stay small: it is recomputed, and the narrowest fields suffice
     recomputed, widths = [], set()
-    bits, fit = FieldLayout.bits, interp._PackedRing.fit
+    bits, fit = FieldLayout.bits, interp._ExactRing.fit
 
     def counting_bits(self, values):
         recomputed.append(len(values))
@@ -147,24 +152,74 @@ def test_long_h_chain_recomputes_its_bound(monkeypatch):
         return out
 
     monkeypatch.setattr(FieldLayout, "bits", counting_bits)
-    monkeypatch.setattr(interp._PackedRing, "fit", recording_fit)
+    monkeypatch.setattr(interp._ExactRing, "fit", recording_fit)
     assert interpret(_h_chain(200)).entries == interpret(make_generator("identity")).entries
-    assert recomputed and widths == {64}
+    assert recomputed and widths == {interp.FIELD_WIDTH}
+
+
+def _values(t) -> list:
+    return [t.fields.scalar(v, t.den) for v in t.data]
 
 
 def test_contraction_keeps_one_denominator_in_lowest_terms():
-    # M = 8 runs the packed kernel, M = 24 the row kernel
-    for modulus in (8, 24):
+    # at M = 8 the kernel's ring is Z[zeta_8]; at 24 and 312 it is larger
+    # than the field, and the denominator must still strip
+    for modulus in (8, 24, 312):
         ring = interp._exact_ring(modulus)
+        one, zero = CycloScalar.one(modulus), CycloScalar.zero(modulus)
+        s = sqrt_two(modulus).scale(Fraction(1, 2))
         h = interp._Tensor(["a0", "a1"], *interp._hbox_tensor(ring))
         assert h.den == 2  # 1/sqrt2 = (z^(M/8) - z^(3M/8)) / 2
+        assert _values(h) == [s, s, s, -s]
         t = h
         for k in range(1, 400):
             t = interp._contract_pair(
                 t, interp._Tensor([f"a{k}", f"a{k + 1}"], *interp._hbox_tensor(ring)), ring, 16)
             # k + 1 H boxes: the identity when k + 1 is even, H otherwise
-            assert (t.den, ring.unpack(t)) == ((1, [ring.one, ring.zero, ring.zero, ring.one])
-                                               if k % 2 else (h.den, ring.unpack(h)))
+            assert (t.den, _values(t)) == ((1, [one, zero, zero, one]) if k % 2
+                                            else (2, [s, s, s, -s]))
+
+
+def test_compare_passes_on_kernel_form_without_scalars(monkeypatch):
+    d = _diagram(7, 4, True)
+    lhs, rhs = interpret(d), interpret(d)
+    assert lhs.modulus == 8
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CycloScalar was made")
+
+    monkeypatch.setattr(CycloScalar, "_make", refuse)
+    monkeypatch.setattr(CycloScalar, "__init__", refuse)
+    again = interpret(d)
+    assert matrix_compare(lhs, again).equal and matrix_compare(again, rhs).equal
+
+
+@pytest.mark.parametrize("lhs, rhs, witness", [
+    (make_spider(Z, PiRational(1, 3), 1, 1), make_spider(Z, PiRational(2, 3), 1, 1),
+     (1, 1, "(1*z^4 | M=24)", "(-1 + 1*z^4 | M=24)")),
+    (make_generator("hbox"), make_generator("identity"),
+     (0, 0, "(1/2*z + -1/2*z^3 | M=8)", "(1 | M=8)")),
+    (make_spider(X, PiRational(1, 13), 1, 2), make_spider(X, PiRational(-1, 13), 1, 2),
+     (0, 0, "(1/4*z^13 + 1/4*z^17 + -1/4*z^39 + -1/4*z^43 | M=104)",
+      "(1/4*z^9 + 1/4*z^13 + -1/4*z^35 + -1/4*z^39 | M=104)")),
+])
+def test_compare_failure_names_the_first_differing_entry(lhs, rhs, witness):
+    # the witnesses of the per-entry compare, as written before matrices
+    # kept their kernel form
+    assert matrix_compare(interpret(lhs), interpret(rhs)).witness == witness
+
+
+def test_semantic_matrix_compares_by_value_and_is_unhashable():
+    d = _diagram(11, 3, False)
+    lazy, built = interpret(d), interpret(d)
+    plain = interp.SemanticMatrix([list(row) for row in built.entries], built.n_inputs,
+                                  built.m_outputs, built.backend, built.modulus)
+    assert lazy == plain and plain == lazy and lazy == built
+    assert lazy != interpret(d, backend="float") and lazy != "matrix"
+    for m in (lazy, plain):
+        with pytest.raises(TypeError):
+            hash(m)
+    assert repr(plain) == repr(lazy) and repr(plain).startswith("SemanticMatrix(entries=[[")
 
 
 def test_module_caches_stay_bounded():

@@ -216,6 +216,37 @@ def test_cyclotomic_polynomial_large_moduli():
         assert poly[0] == poly[-1] == 1
 
 
+@given(_moduli_and_terms())
+@settings(max_examples=80, deadline=None)
+def test_rows_agree_with_scalar_ops(case):
+    # sparse values at every oracle modulus, carried as a packed row of M/2
+    # coefficients over a denominator, as the exact kernel carries them
+    M, ta, tb = case
+    a, b = CycloScalar(M, ta), CycloScalar(M, tb)
+    fields = FieldLayout(M, 128)
+
+    def to_row(x, den):
+        coeffs = [c * (den // x.den) for c in x.coeffs]
+        return fields.encode(coeffs + [0] * (fields.n - len(coeffs)))
+
+    ra, rb = to_row(a, a.den), to_row(b, b.den)
+    assert fields.scalar(ra, a.den) == a and fields.scalar(rb, b.den) == b
+    # products and sums of two products stay within the fields
+    assert fields.bits([ra]) + fields.bits([rb]) + 1 <= fields.limit
+    product = fields.reduce(ra * rb)
+    assert fields.scalar(product, a.den * b.den) == a * b
+    assert fields.scalar(product, a.den * b.den).is_zero() == (a * b).is_zero()
+    den = math.lcm(a.den, b.den)
+    ra2, rb2 = to_row(a, den), to_row(b, den)
+    assert fields.scalar(ra2 + rb2, den) == a + b
+    rows = [ra2, rb2, 0]
+    small, strip = fields.lowest_terms(rows, 6 * den)
+    assert small * 2 ** strip == 6 * den
+    assert [fields.scalar(r, small) for r in rows] == [a.scale(Fraction(1, 6)),
+                                                       b.scale(Fraction(1, 6)),
+                                                       CycloScalar.zero(M)]
+
+
 @given(st.sampled_from((8, 16, 32, 24, 40, 104, 312)), st.sampled_from((32, 64, 128)), st.data())
 @settings(max_examples=120, deadline=None)
 def test_packed_fields_agree_with_scalar_ops(M, width, data):

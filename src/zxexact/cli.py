@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 when every requested check passes, 1 when some check fails,
-2 for malformed input or bad arguments.  All JSON reports carry a top-level
-"schema": "1" field and are byte-deterministic for fixed inputs and seed.
+2 for malformed input or bad arguments (a malformed environment override
+and a tolerance that is not a finite positive number among them).  All
+JSON reports carry a top-level "schema": "1" field and are
+byte-deterministic for fixed inputs and seed.
 
 Environment overrides: ZXEXACT_TOLERANCE, ZXEXACT_MAX_RANK, ZXEXACT_SEED.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -31,14 +34,17 @@ from .witness import (
 PASS, FAIL, USAGE = 0, 1, 2
 
 
-def _env_float(name: str, default: float) -> float:
+def _env(name: str, kind: type, default):
+    """The environment variable ``name`` read as ``kind``; ``ValueError``
+    names the variable when it does not parse."""
     val = os.environ.get(name)
-    return float(val) if val else default
-
-
-def _env_int(name: str, default: int) -> int:
-    val = os.environ.get(name)
-    return int(val) if val else default
+    if not val:
+        return default
+    try:
+        return kind(val)
+    except ValueError:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {val!r}") from None
 
 
 def _entry_repr(e) -> str:
@@ -217,9 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--tolerance", "--tol", type=float,
-                        default=_env_float("ZXEXACT_TOLERANCE", 1e-9))
+                        default=_env("ZXEXACT_TOLERANCE", float, 1e-9))
     common.add_argument("--max-rank", type=int,
-                        default=_env_int("ZXEXACT_MAX_RANK", 16))
+                        default=_env("ZXEXACT_MAX_RANK", int, 16))
     parser = argparse.ArgumentParser(prog="zxexact",
                                      description="exact ZX-calculus engine",
                                      parents=[common])
@@ -251,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-arity", type=int, default=3)
     p.add_argument("--grid", type=int, default=4, metavar="K", help="pi/K angle grid")
     p.add_argument("--random", type=int, default=0)
-    p.add_argument("--seed", type=int, default=_env_int("ZXEXACT_SEED", 0))
+    p.add_argument("--seed", type=int, default=_env("ZXEXACT_SEED", int, 0))
     p.set_defaults(func=_cmd_suite)
 
     p = add_parser("derive", help="check a derivation script")
@@ -270,13 +276,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    try:
+        parser = _build_parser()
+    except ValueError as exc:  # a malformed environment variable
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
-    if args.tolerance <= 0:
-        print("error: tolerance must be positive", file=sys.stderr)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        print("error: tolerance must be a finite positive number", file=sys.stderr)
         return USAGE
     if args.max_rank < 4:
         print("error: rank cap must be at least 4", file=sys.stderr)

@@ -276,7 +276,7 @@ def twin_local_equivalence(host: Diagram, twin_ids: list[str], n: int,
                            max_rank: int = 16) -> bool:
     """Semantic check of a twin merge on the local subdiagram (twins plus
     their neighbours, the neighbours' outer legs opened as ports)."""
-    before = merge_twins(host, twin_ids, n)  # validates preconditions
+    merged = merge_twins(host, twin_ids, n)  # validates preconditions
     twin_set = set(twin_ids)
     neigh: set[str] = set()
     for a, b in host.edges:
@@ -308,8 +308,8 @@ def twin_local_equivalence(host: Diagram, twin_ids: list[str], n: int,
     # the sides share the neighbour nodes, and the outer legs are enumerated
     # in host edge order, which merge_twins preserves for non-twin edges
     lhs = local(host, twin_set)
-    merged_id = next(v for v in merge_twins(host, twin_ids, n).nodes if v not in host.nodes)
-    rhs = local(merge_twins(host, twin_ids, n), {merged_id})
+    merged_id = next(v for v in merged.nodes if v not in host.nodes)
+    rhs = local(merged, {merged_id})
     backend = EXACT if lhs.is_exact() and rhs.is_exact() else FLOAT
     ml = interpret(lhs, backend=backend, max_rank=max_rank)
     mr = interpret(rhs, backend=backend, max_rank=max_rank)

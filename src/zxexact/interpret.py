@@ -2,10 +2,15 @@
 
 Every node becomes a leg-symmetric tensor (Z spiders are diagonal deltas,
 X spiders their Hadamard conjugates, H boxes the 2x2 Hadamard matrix) and
-every edge an index pairing; boundary ports stay open.  Contraction is
-pairwise, in a greedy order that keeps intermediate rank small, with a hard
-cap; the order is built incrementally, rescoring after each merge only the
-pairs of the new tensor.
+every edge an index pairing; boundary ports stay open.  The axes are named
+in one pass over the edges, which also applies two of the calculus's own
+equations: a spider's self-loop is dropped (tracing two legs of a Z or X
+spider leaves the same spider with two fewer legs), and a spider of high
+degree is cut into a same-colour chain (spider fusion), so no leaf is wider
+than the degree limit.  A port-to-port wire is a phase-0 Z spider of degree
+2, the identity.  Contraction is pairwise, in a greedy order that keeps
+intermediate rank small, with a hard cap; the order is built incrementally,
+rescoring after each merge only the pairs of the new tensor.
 
 The float backend stores complex entries.  The exact backend has one
 kernel for every modulus M (divisible by 8).  zeta_M^(M/2) = -1, so Phi_M
@@ -42,8 +47,8 @@ from .cyclotomic import (
     CycloScalar, FieldLayout, ModulusError, _check_modulus, lift_modulus,
 )
 from .diagram import (
-    Diagram, NodeKind, Phase, PiRational, H, X, Z, _norm_edge,
-    ensure_valid, phase_is_exact, phase_radians,
+    Diagram, NodeKind, Phase, PiRational, H, X, Z,
+    ensure_valid, phase_is_exact, phase_radians, zspider,
 )
 
 EXACT, FLOAT = "exact", "float"
@@ -67,9 +72,8 @@ class ResourceLimitError(RuntimeError):
 # form: ``pack`` turns a leaf's denominator and scalars into the ``_Tensor``
 # fields after the axes (``den``, ``data`` and, for exact tensors, ``bits``
 # and ``fields``), ``contract`` runs the inner loop of a pairwise
-# contraction, ``fit`` makes room for a sum before ``_self_trace`` adds
-# entries, and ``matrix`` makes the final ``SemanticMatrix``.  The float ring
-# stores plain complex numbers, the exact ring packed ints
+# contraction, and ``matrix`` makes the final ``SemanticMatrix``.  The float
+# ring stores plain complex numbers, the exact ring packed ints
 # (``cyclotomic.FieldLayout``).
 
 # Bounds of the module caches: the four benchmark workloads use at most 10
@@ -119,11 +123,10 @@ class _ExactRing:
     Each tensor carries a bound ``bits``: no entry's norm
     (``cyclotomic.FieldLayout``) exceeds 2^bits.  It is exact for leaves;
     after a product it is b1 + b2 + the number of shared axes (a sum of
-    2^shared products), less the factors of 2 divided out; one more after a
-    self-trace.  When a result's bound would pass its fields' limit, ``fit``
-    recomputes the operands' bounds exactly and, if that is not enough,
-    re-encodes them in wider fields, so no field ever spills into its
-    neighbour."""
+    2^shared products), less the factors of 2 divided out.  When a result's
+    bound would pass its fields' limit, ``fit`` recomputes the operands'
+    bounds exactly and, if that is not enough, re-encodes them in wider
+    fields, so no field ever spills into its neighbour."""
 
     one, zero = 1, 0
 
@@ -134,7 +137,6 @@ class _ExactRing:
         self.leaf_fields = self.fields(0)
         w = FIELD_WIDTH
         self._root2 = (1 << (modulus // 8) * w) - (1 << (3 * modulus // 8) * w)
-        self.identity = self.pack(1, (1, 0, 0, 1))
 
     def fields(self, bits: int) -> FieldLayout:
         """The narrowest layout whose fields hold norms of 2^bits."""
@@ -166,11 +168,8 @@ class _ExactRing:
 
     def fit(self, tensors, extra: int):
         """``tensors`` in one layout whose fields hold a result bounded by
-        ``sum(bits) + extra``, re-encoding those in another layout."""
-        fields = tensors[0].fields
-        if (all(t.fields is fields for t in tensors)
-                and sum(t.bits for t in tensors) + extra <= fields.limit):
-            return tensors
+        ``sum(bits) + extra``, their bounds recomputed exactly, re-encoding
+        those in another layout."""
         for t in tensors:
             t.bits = t.fields.bits(t.data)
         fields = self.fields(sum(t.bits for t in tensors) + extra)
@@ -208,7 +207,6 @@ class _FloatRing:
     modulus = None
     zero = complex(0)
     one = complex(1)
-    identity = (1, (one, zero, zero, one))
     mul = staticmethod(operator.mul)
 
     @staticmethod
@@ -222,10 +220,6 @@ class _FloatRing:
     @staticmethod
     def pack(den: int, values) -> tuple[int, tuple]:
         return 1, tuple(values)
-
-    @staticmethod
-    def fit(tensors, extra: int):
-        return tensors
 
     @staticmethod
     def contract(t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
@@ -284,10 +278,13 @@ class _Tensor:
         return len(self.axes)
 
 
-def _spider_tensor_fresh(kind_name: str, phase: Phase, degree: int, ring) -> tuple:
-    ph = ring.phase(phase)
+def _spider_tensor_fresh(kind: NodeKind, degree: int, ring) -> tuple:
+    if kind.kind == H:
+        den, s = ring.inv_sqrt2_pow(1)
+        return ring.pack(den, (s, s, s, -s))
+    ph = ring.phase(kind.phase)
     size = 1 << degree
-    if kind_name == Z:
+    if kind.kind == Z:
         if degree == 0:
             return ring.pack(1, (ring.one + ph,))
         data = [ring.zero] * size
@@ -305,31 +302,16 @@ def _spider_tensor_fresh(kind_name: str, phase: Phase, degree: int, ring) -> tup
 _TENSOR_CACHE: dict[tuple, tuple] = {}
 
 
-def _spider_tensor(kind: NodeKind, degree: int, ring) -> tuple:
-    if not isinstance(kind.phase, PiRational):  # a float angle rarely recurs: not cached
-        return _spider_tensor_fresh(kind.kind, kind.phase, degree, ring)
+def _leaf_tensor(kind: NodeKind, degree: int, ring) -> tuple:
+    """The ``ring.pack`` fields of a spider or H box with ``degree`` legs."""
+    if isinstance(kind.phase, float):  # a float angle rarely recurs: not cached
+        return _spider_tensor_fresh(kind, degree, ring)
     key = (ring.modulus, kind.kind, kind.phase, degree)
     packed = _TENSOR_CACHE.get(key)
     if packed is None:
-        packed = _bounded_put(_TENSOR_CACHE, key,
-                              _spider_tensor_fresh(kind.kind, kind.phase, degree, ring),
+        packed = _bounded_put(_TENSOR_CACHE, key, _spider_tensor_fresh(kind, degree, ring),
                               TENSOR_CACHE_SIZE)
     return packed
-
-
-def _hbox_tensor(ring) -> tuple:
-    key = (ring.modulus, H, None, 2)
-    packed = _TENSOR_CACHE.get(key)
-    if packed is None:
-        den, s = ring.inv_sqrt2_pow(1)
-        packed = _bounded_put(_TENSOR_CACHE, key, ring.pack(den, (s, s, s, -s)),
-                              TENSOR_CACHE_SIZE)
-    return packed
-
-
-def _leaf_tensor(kind: NodeKind, degree: int, ring) -> tuple:
-    """The ``ring.pack`` fields of a spider or H box with ``degree`` legs."""
-    return _hbox_tensor(ring) if kind.kind == H else _spider_tensor(kind, degree, ring)
 
 
 def _strides(axes: list[str]) -> dict[str, int]:
@@ -338,34 +320,6 @@ def _strides(axes: list[str]) -> dict[str, int]:
     for pos, a in enumerate(axes):
         out[a] = 1 << (n - 1 - pos)
     return out
-
-
-def _self_trace(t: _Tensor, ring) -> _Tensor:
-    while True:
-        dup = None
-        seen = {}
-        for pos, a in enumerate(t.axes):
-            if a in seen:
-                dup = (seen[a], pos)
-                break
-            seen[a] = pos
-        if dup is None:
-            return t
-        i, j = dup
-        n = len(t.axes)
-        si, sj = 1 << (n - 1 - i), 1 << (n - 1 - j)
-        rest = [a for pos, a in enumerate(t.axes) if pos not in (i, j)]
-        rest_strides = [1 << (n - 1 - pos) for pos in range(n) if pos not in (i, j)]
-        m = len(rest)
-        data = [None] * (1 << m)
-        (t,) = ring.fit((t,), 1)
-        for idx in range(1 << m):
-            base = 0
-            for bit in range(m):
-                if (idx >> (m - 1 - bit)) & 1:
-                    base += rest_strides[bit]
-            data[idx] = t.data[base] + t.data[base + si + sj]
-        t = _Tensor(rest, t.den, data, t.bits + 1, t.fields)
 
 
 def _bases(free_axes: list[str], strides: dict[str, int]) -> list[int]:
@@ -430,13 +384,14 @@ def _plan_greedy(axes_list: list[list[str]], max_rank: int) -> ContractionPlan:
     """Greedy pairwise order minimizing intermediate rank.
 
     Merging tensors i and j leaves the symmetric difference of their axis
-    sets under the next free id, so an axis repeated within one list (a
-    self-loop) counts once and stays open.  Each step merges the live pair
-    with the least ``(result rank, i, j)`` among pairs sharing an axis, or,
-    when none share one, the least ``(|A| + |B|, i, j)``.  An index from
-    each axis to its live holders seeds a heap with the sharing pairs; a
-    merge pushes only the new tensor's pairs and drops consumed ones lazily.
-    Once the heap is empty no live pair shares an axis, and none will again.
+    sets under the next free id, so an axis repeated within one list counts
+    once and stays open (``_tensor_axes`` makes none).  Each step merges the
+    live pair with the least ``(result rank, i, j)`` among pairs sharing an
+    axis, or, when none share one, the least ``(|A| + |B|, i, j)``.  An
+    index from each axis to its live holders seeds a heap with the sharing
+    pairs; a merge pushes only the new tensor's pairs and drops consumed ones
+    lazily.  Once the heap is empty no live pair shares an axis, and none
+    will again.
     """
     for axes in axes_list:
         if len(axes) > max_rank:
@@ -653,104 +608,62 @@ def node_tensor(kind: NodeKind, n_in: int, n_out: int, backend: str = EXACT,
                    inputs, outputs)
 
 
-def _split_high_degree(d: Diagram, limit: int) -> Diagram:
-    """Spiders of degree above ``limit`` become chains of smaller spiders
-    linked through phase-0 copies of themselves (an exact identity).
+def _tensor_axes(d: Diagram, max_rank: int) -> list[tuple[NodeKind, list[str]]]:
+    """One ``(kind, axes)`` per leaf tensor: the nodes in sorted id order,
+    then one per port-to-port wire.
 
-    Splits go in node order, each helper joining the end of the order; a
-    split leaves its spider at degree ``limit`` and changes no other
-    node's degree, so one pass over degrees counted once finds them all."""
-    if 2 * len(d.edges) <= limit:  # no node can have more than 2 ends per edge
-        return d
-    degree: dict[str, int] = {}
-    for a, b in d.edges:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    out = d
-    order = list(d.nodes)
-    fresh = 0
-    keep = limit - 1
-    for target in order:
-        if out.nodes[target].kind == H or degree.get(target, 0) <= limit:
-            continue
-        if out is d:
-            out = d.copy()
-        helper = f"{target}~deg{fresh}"
-        while helper in out.all_ids():
-            fresh += 1
-            helper = f"{target}~deg{fresh}"
-        fresh += 1
-        out.nodes[helper] = NodeKind(out.nodes[target].kind, PiRational(0))
-        seen = 0
-        edges = []
-        for a, b in out.edges:
-            ends = []
-            for x in (a, b):
-                if x == target:
-                    seen += 1
-                    ends.append(target if seen <= keep else helper)
-                else:
-                    ends.append(x)
-            edges.append(_norm_edge(ends[0], ends[1]))
-        out.edges = edges
-        out.add_edge(target, helper)
-        degree[helper] = degree[target] - keep + 1
-        degree[target] = limit
-        order.append(helper)
-    return out
-
-
-def _tensor_axes(d: Diagram, max_rank: int) -> tuple[Diagram, list[str], list[list[str]]]:
-    """Split spiders above the degree limit and name every tensor's axes.
-
-    Returns the split diagram, its sorted node ids, and one axis list per
-    node in that order followed by one per port-to-port wire (an identity).
     Edge k between two nodes shares axis ``e<k>``; an edge end at a port is
-    named after the port so the open axis is identifiable.
+    named after the port so the open axis is identifiable.  A self-loop is
+    dropped (exact for Z and X spiders; validation refuses an H box's).  A
+    spider with more than ``max(3, min(8, max_rank))`` legs becomes a chain
+    of that colour joined by fresh axes ``s<j>``, its phase on the first
+    piece and 0 on the rest.  A port-to-port wire is the identity, a phase-0
+    Z spider of degree 2.
     """
-    d = _split_high_degree(d, max(3, min(8, max_rank)))
     ports = d.ports()
     node_axes: dict[str, list[str]] = {n: [] for n in d.nodes}
-    wires: list[list[str]] = []
+    wires = []
     for k, (a, b) in enumerate(d.edges):
         a_port, b_port = a in ports, b in ports
         if a_port and b_port:
             if a == b:
                 raise BackendError("a boundary port cannot loop onto itself")
-            wires.append([f"p:{a}", f"p:{b}"])
+            wires.append((zspider(), [f"p:{a}", f"p:{b}"]))
         elif a_port:
             node_axes[b].append(f"p:{a}")
         elif b_port:
             node_axes[a].append(f"p:{b}")
-        else:
+        elif a != b:
             node_axes[a].append(f"e{k}")
             node_axes[b].append(f"e{k}")
-    node_order = sorted(d.nodes)
-    return d, node_order, [node_axes[n] for n in node_order] + wires
+    limit = max(3, min(8, max_rank))
+    leaves = []
+    for n in sorted(d.nodes):
+        kind, axes = d.nodes[n], node_axes[n]
+        while len(axes) > limit:
+            link = f"s{len(leaves)}"
+            leaves.append((kind, axes[:limit - 1] + [link]))
+            kind, axes = NodeKind(kind.kind, PiRational(0)), [link] + axes[limit - 1:]
+        leaves.append((kind, axes))
+    return leaves + wires
 
 
 def plan_contraction(d: Diagram, max_rank: int = DEFAULT_MAX_RANK) -> ContractionPlan:
     """The contraction order and peak rank that ``interpret`` follows for ``d``."""
-    return _plan_greedy(_tensor_axes(d, max_rank)[2], max_rank)
+    return _plan_greedy([axes for _, axes in _tensor_axes(d, max_rank)], max_rank)
 
 
 def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK) -> SemanticMatrix:
     """Contract the diagram to its 2^m x 2^n standard-interpretation matrix."""
     ensure_valid(d)
     ring = _ring_for(d, backend)
-    d, node_order, axes_list = _tensor_axes(d, max_rank)
-    plan = _plan_greedy(axes_list, max_rank)
+    leaves = _tensor_axes(d, max_rank)
+    plan = _plan_greedy([axes for _, axes in leaves], max_rank)
 
-    tensors: list[_Tensor] = []
-    for n, axes in zip(node_order, axes_list):
-        # self-loop axes appear twice, so len(axes) is the degree
-        tensors.append(_self_trace(_Tensor(axes, *_leaf_tensor(d.nodes[n], len(axes), ring)),
-                                   ring))
-    tensors += [_Tensor(axes, *ring.identity) for axes in axes_list[len(node_order):]]
-
-    if tensors:
-        pool: dict[int, _Tensor] = dict(enumerate(tensors))
-        next_id = len(tensors)
+    pool = {i: _Tensor(axes, *_leaf_tensor(kind, len(axes), ring))
+            for i, (kind, axes) in enumerate(leaves)}
+    if pool:
+        next_id = len(pool)
         for i, j in plan.steps:
             pool[next_id] = _contract_pair(pool.pop(i), pool.pop(j), ring, max_rank)
             next_id += 1
@@ -804,7 +717,10 @@ class CompareResult:
 
 
 def matrix_compare(a: SemanticMatrix, b: SemanticMatrix, tol: float = 1e-9) -> CompareResult:
-    """Exact equality for exact backends, entrywise |delta| <= tol otherwise."""
+    """Exact equality for exact backends, entrywise |delta| <= tol otherwise;
+    ``tol`` must be a finite positive number."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
     if (a.n_inputs, a.m_outputs) != (b.n_inputs, b.m_outputs):
         raise ValueError("matrix dimensions differ")
     if a.backend == EXACT and b.backend == EXACT:

@@ -594,9 +594,15 @@ class SuiteReport:
         }
 
 
-def _check_grids(max_arity: int, grid_den: int) -> None:
-    """Refuse a sweep whose arities or angle field pass a cap, before any
-    grid is built."""
+def _check_grids(max_arity: int, grid_den: int, n_random: int = 0) -> None:
+    """Refuse a sweep that is empty or whose arities or angle field pass a
+    cap, before any grid is built."""
+    if grid_den < 1:
+        raise RuleError(f"angle grid pi/{grid_den} is empty: the grid must be at least 1")
+    if max_arity < 0:
+        raise RuleError(f"max arity {max_arity} is negative")
+    if n_random < 0:
+        raise RuleError(f"random draw count {n_random} is negative")
     if max_arity > MAX_ARITY:
         raise RuleError(f"max arity {max_arity} above cap {MAX_ARITY}")
     M = math.lcm(8, 2 * grid_den)
@@ -604,11 +610,24 @@ def _check_grids(max_arity: int, grid_den: int) -> None:
         raise RuleError(f"angle grid pi/{grid_den} needs modulus {M}, above cap {MAX_MODULUS}")
 
 
-def _iter_exact_bindings(schema: RuleSchema, max_arity: int, grid_den: int) -> Iterable[dict]:
+def _instances(schema: RuleSchema, max_arity: int, grid_den: int) -> Iterable[RuleInstance]:
+    """Every exact instance of ``schema``: each arity layout up to
+    ``max_arity`` and angle tuple on the pi/``grid_den`` grid, in its four
+    variants."""
     angle_values = _angle_grid(grid_den)
     for arities in schema.arity_grid(max_arity):
         for angles in itertools.product(angle_values, repeat=len(schema.angle_params)):
-            yield dict(arities, **dict(zip(schema.angle_params, angles)))
+            bindings = dict(arities, **dict(zip(schema.angle_params, angles)))
+            for swap, flip in _VARIANTS:
+                yield instantiate(schema, bindings, swap, flip)
+
+
+def _suite_entry(inst: RuleInstance, backend: str, tol: float, max_rank: int) -> SuiteEntry:
+    try:
+        res = check_soundness(inst, backend=backend, tol=tol, max_rank=max_rank)
+    except ResourceLimitError as exc:
+        return SuiteEntry(inst.key(), backend, "SKIP", (0, 0, str(exc), ""))
+    return SuiteEntry(inst.key(), backend, "PASS" if res.sound else "FAIL", res.witness)
 
 
 def soundness_suite(ruleset: str, max_arity: int = 3, grid_den: int = 4,
@@ -617,22 +636,14 @@ def soundness_suite(ruleset: str, max_arity: int = 3, grid_den: int = 4,
                     schema_names: Optional[list[str]] = None) -> SuiteReport:
     """Check every schema x variant x arity x grid angle exactly, plus
     ``n_random`` float-angle draws per schema at tolerance ``tol``."""
-    _check_grids(max_arity, grid_den)
+    _check_grids(max_arity, grid_den, n_random)
     report = SuiteReport()
     schemas = ruleset_schemas(ruleset)
     if schema_names is not None:
         schemas = [s for s in schemas if s.name in schema_names]
     for schema in schemas:
-        for bindings in _iter_exact_bindings(schema, max_arity, grid_den):
-            for swap, flip in _VARIANTS:
-                inst = instantiate(schema, bindings, swap, flip)
-                try:
-                    res = check_soundness(inst, backend=EXACT, max_rank=max_rank)
-                    status = "PASS" if res.sound else "FAIL"
-                    witness = res.witness
-                except ResourceLimitError as exc:
-                    status, witness = "SKIP", (0, 0, str(exc), "")
-                report.entries.append(SuiteEntry(inst.key(), EXACT, status, witness))
+        for inst in _instances(schema, max_arity, grid_den):
+            report.entries.append(_suite_entry(inst, EXACT, tol, max_rank))
         if n_random:
             rng = random.Random((seed, schema.name).__repr__())
             arity_choices = schema.arity_grid(max_arity)
@@ -642,13 +653,7 @@ def soundness_suite(ruleset: str, max_arity: int = 3, grid_den: int = 4,
                     bindings[p] = rng.uniform(0.0, 6.283185307179586)
                 swap, flip = rng.choice(_VARIANTS)
                 inst = instantiate(schema, bindings, swap, flip)
-                try:
-                    res = check_soundness(inst, backend=FLOAT, tol=tol, max_rank=max_rank)
-                    status = "PASS" if res.sound else "FAIL"
-                    witness = res.witness
-                except ResourceLimitError as exc:
-                    status, witness = "SKIP", (0, 0, str(exc), "")
-                report.entries.append(SuiteEntry(inst.key(), FLOAT, status, witness))
+                report.entries.append(_suite_entry(inst, FLOAT, tol, max_rank))
     report.entries.sort(key=lambda e: (e.key, e.backend))
     return report
 
@@ -666,14 +671,7 @@ def invariant_preservation_check(ruleset: str, max_arity: int = 3,
     _check_grids(max_arity, grid_den)
     out = []
     for schema in ruleset_schemas(ruleset):
-        bad = None
-        for bindings in _iter_exact_bindings(schema, max_arity, grid_den):
-            for swap, flip in _VARIANTS:
-                inst = instantiate(schema, bindings, swap, flip)
-                if invariant_r(inst.lhs) != invariant_r(inst.rhs):
-                    bad = inst.key()
-                    break
-            if bad:
-                break
+        bad = next((inst.key() for inst in _instances(schema, max_arity, grid_den)
+                    if invariant_r(inst.lhs) != invariant_r(inst.rhs)), None)
         out.append(PreservationEntry(schema.name, bad is None, bad))
     return out

@@ -23,10 +23,7 @@ from .diagram import (
 from .interpret import (
     EXACT, FLOAT, MAX_MODULUS, interpret, invariant_r, is_zero, matrix_compare,
 )
-from .rules import (
-    RuleInstance, check_soundness, instantiate, ruleset_schemas,
-    _iter_exact_bindings, _VARIANTS,
-)
+from .rules import RuleInstance, _instances, check_soundness, instantiate, ruleset_schemas
 
 
 @dataclass
@@ -176,14 +173,11 @@ def witness_sup_necessity(p: int, grid_den: int = 4, prime_ceiling: int = 13,
     # (a) every ZX_E rule survives multiplying all angles by p^2
     for schema in ruleset_schemas("ZX_E"):
         bad = None
-        for bindings in _iter_exact_bindings(schema, max_arity, grid_den):
-            for swap, flip in _VARIANTS:
-                inst = _scaled_instance(instantiate(schema, bindings, swap, flip), f)
-                res = check_soundness(inst)
-                if not res.sound:
-                    bad = f"{inst.key()} witness {res.witness}"
-                    break
-            if bad:
+        for inst in _instances(schema, max_arity, grid_den):
+            inst = _scaled_instance(inst, f)
+            res = check_soundness(inst)
+            if not res.sound:
+                bad = f"{inst.key()} witness {res.witness}"
                 break
         rep.add(f"ZX_E rule {schema.name} sound under x{f}", bad is None, bad or "")
 

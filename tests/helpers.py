@@ -107,44 +107,6 @@ def plan_greedy_reference(axes_list: list[list[str]], max_rank: int) -> Contract
     return ContractionPlan(steps, peak)
 
 
-def split_high_degree_reference(d: Diagram, limit: int) -> Diagram:
-    """Split spiders above ``limit`` by rescanning every node's degree (a
-    scan of all edges) after each split; the oracle for
-    ``interpret._split_high_degree``."""
-    out = d
-    fresh = 0
-    while True:
-        target = None
-        for n, kind in out.nodes.items():
-            if kind.kind != "H" and out.degree(n) > limit:
-                target = n
-                break
-        if target is None:
-            return out
-        if out is d:
-            out = d.copy()
-        helper = f"{target}~deg{fresh}"
-        while helper in out.all_ids():
-            fresh += 1
-            helper = f"{target}~deg{fresh}"
-        fresh += 1
-        out.nodes[helper] = NodeKind(out.nodes[target].kind, PiRational(0))
-        keep = limit - 1
-        seen = 0
-        edges = []
-        for a, b in out.edges:
-            ends = []
-            for x in (a, b):
-                if x == target:
-                    seen += 1
-                    ends.append(target if seen <= keep else helper)
-                else:
-                    ends.append(x)
-            edges.append(_norm_edge(ends[0], ends[1]))
-        out.edges = edges
-        out.add_edge(target, helper)
-
-
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):

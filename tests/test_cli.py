@@ -158,6 +158,11 @@ def test_mutated_bundled_inputs_never_raise(name, data):
     (["suite", "soundness", "--max-arity", "100000"], "max arity 100000 above cap 1024"),
     (["suite", "invariants", "--max-arity", "1025"], "max arity 1025 above cap 1024"),
     (["witness", "sqrt2", "--k", "4,1000000"], "k=1000000 needs modulus 2000000, above cap"),
+    # a sweep that would be empty
+    (["suite", "soundness", "--grid", "0"], "angle grid pi/0 is empty"),
+    (["suite", "invariants", "--grid", "-4"], "angle grid pi/-4 is empty"),
+    (["suite", "soundness", "--max-arity", "-1"], "max arity -1 is negative"),
+    (["suite", "soundness", "--random", "-5"], "random draw count -5 is negative"),
 ])
 def test_oversized_flags_exit_two_before_any_grid_or_field(argv, message, monkeypatch, capsys):
     def refuse(*args, **kwargs):
@@ -170,6 +175,32 @@ def test_oversized_flags_exit_two_before_any_grid_or_field(argv, message, monkey
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, value", [
+    ("ZXEXACT_TOLERANCE", "abc"), ("ZXEXACT_MAX_RANK", "x"), ("ZXEXACT_SEED", "x"),
+    ("ZXEXACT_MAX_RANK", "1.5"),
+])
+def test_malformed_env_var_exits_two(name, value, monkeypatch, capsys):
+    monkeypatch.setenv(name, value)
+    assert run(["rule", "list"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be ") and repr(value) in err
+    assert err.count("\n") == 1
+
+
+SUP3_AT_FLOAT_ANGLE = ["rule", "check", "SUPn", "--bind", "n=3", "--bind", "alpha=float:0.3"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_tolerance_that_is_not_finite_positive_exits_two(tol, monkeypatch, capsys):
+    # below float rounding the sound rule fails; nan or inf must not pass it
+    assert run(SUP3_AT_FLOAT_ANGLE + ["--tol", "1e-300"]) == 1
+    capsys.readouterr()
+    assert run(SUP3_AT_FLOAT_ANGLE + [f"--tol={tol}"]) == 2
+    assert capsys.readouterr().err == "error: tolerance must be a finite positive number\n"
+    monkeypatch.setenv("ZXEXACT_TOLERANCE", tol)
+    assert run(SUP3_AT_FLOAT_ANGLE) == 2
 
 
 def test_missing_file_exits_two():

@@ -168,13 +168,14 @@ def test_contraction_keeps_one_denominator_in_lowest_terms():
         ring = interp._exact_ring(modulus)
         one, zero = CycloScalar.one(modulus), CycloScalar.zero(modulus)
         s = sqrt_two(modulus).scale(Fraction(1, 2))
-        h = interp._Tensor(["a0", "a1"], *interp._hbox_tensor(ring))
+        leaf = interp._leaf_tensor(hbox(), 2, ring)
+        h = interp._Tensor(["a0", "a1"], *leaf)
         assert h.den == 2  # 1/sqrt2 = (z^(M/8) - z^(3M/8)) / 2
         assert _values(h) == [s, s, s, -s]
         t = h
         for k in range(1, 400):
             t = interp._contract_pair(
-                t, interp._Tensor([f"a{k}", f"a{k + 1}"], *interp._hbox_tensor(ring)), ring, 16)
+                t, interp._Tensor([f"a{k}", f"a{k + 1}"], *leaf), ring, 16)
             # k + 1 H boxes: the identity when k + 1 is even, H otherwise
             assert (t.den, _values(t)) == ((1, [one, zero, zero, one]) if k % 2
                                             else (2, [s, s, s, -s]))

@@ -1,5 +1,6 @@
 """Standard interpretation: generator matrices, contraction, invariants."""
 
+import cmath
 import importlib
 import math
 import random
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zxexact.cyclotomic import CycloScalar, cyclotomic_polynomial, membership_solve, sqrt_two
+from zxexact.cyclotomic import (
+    CycloScalar, cyclotomic_polynomial, membership_solve, root_of_unity, sqrt_two,
+)
 from zxexact.diagram import (
     Diagram, PiRational, X, Z, hbox, make_generator, make_spider,
     sequential_compose, tensor_product, xspider, zspider,
@@ -20,7 +23,7 @@ from zxexact.interpret import (
     plan_contraction,
 )
 
-from helpers import plan_greedy_reference, random_diagram, split_high_degree_reference
+from helpers import plan_greedy_reference, random_diagram
 
 # the package re-exports interpret() under the module's own name
 interp = importlib.import_module("zxexact.interpret")
@@ -332,6 +335,14 @@ def test_matrix_compare_witness():
         matrix_compare(a, interpret(make_generator("cup")))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_matrix_compare_refuses_a_tolerance_that_is_not_finite_positive(tol):
+    for backend in ("float", "exact"):
+        a = interpret(make_spider(X, PiRational(1, 4), 1, 1), backend=backend)
+        with pytest.raises(ValueError, match="tolerance must be a finite positive number"):
+            matrix_compare(a, a, tol=tol)
+
+
 def test_is_zero_examples():
     assert is_zero(interpret(make_spider(Z, PiRational(1), 0, 0)))
     assert not is_zero(interpret(make_generator("identity")))
@@ -365,20 +376,58 @@ def test_pi3_fragment_entries_live_in_subfield():
                 assert membership_solve(lift_modulus(e, M) * scale, 6) is not None
 
 
-# -- splitting high-degree spiders ------------------------------------------------
+# -- self-loops and high-degree spiders ---------------------------------------------
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 30), st.integers(3, 8))
-@settings(max_examples=300, deadline=None)
-@example(0, 0, 3)
-@example(1, 30, 3)
-def test_split_matches_reference_rescan(seed, extra_edges, limit):
-    rng = random.Random(seed)
-    d = random_diagram(rng, max_nodes=8, max_ports=rng.randint(0, 10))
-    spiders = [n for n, kind in d.nodes.items() if kind.kind != "H"]
-    for _ in range(extra_edges if spiders else 0):  # parallel edges and self-loops
-        d.add_edge(rng.choice(spiders), rng.choice(spiders))
-    got = interp._split_high_degree(d, limit)
-    want = split_high_degree_reference(d, limit)
-    assert (got is d) == (want is d)
-    assert list(got.nodes.items()) == list(want.nodes.items())
-    assert (got.edges, got.inputs, got.outputs) == (want.edges, want.inputs, want.outputs)
+def _spider_closed_form(colour: str, phase: PiRational, n_in: int, n_out: int, ring):
+    """Entry (r, c) of the spider from its closed form over ``ring``'s scalars
+    ``one``, ``e^{i alpha}`` and ``1/sqrt2``: a Z spider is 1 on the all-zeros
+    entry, e^{i alpha} on the all-ones one and 0 elsewhere; an X spider is
+    2^(-d/2) (1 + e^{i alpha} (-1)^popcount)."""
+    one, ph, inv_sqrt2 = ring
+    d = n_in + n_out
+    rows, cols = 1 << n_out, 1 << n_in
+    if colour == Z:
+        def value(r, c):
+            return ((one if r == 0 and c == 0 else one - one)
+                    + (ph if r == rows - 1 and c == cols - 1 else one - one))
+        return value
+    scale = one
+    for _ in range(d):
+        scale = scale * inv_sqrt2
+    even, odd = scale * (one + ph), scale * (one - ph)
+    return lambda r, c: odd if (bin(r).count("1") + bin(c).count("1")) % 2 else even
+
+
+@pytest.mark.parametrize("loops", [0, 1, 3])
+@pytest.mark.parametrize("colour", [Z, X])
+def test_spiders_with_self_loops_match_closed_form(colour, loops):
+    # up to 12 legs, past the degree limit of 8 at which a spider is cut
+    # into a chain; each self-loop must vanish
+    for d in range(13):
+        for n_in in range(d + 1):
+            n_out = d - n_in
+            phase = PiRational(2 * d + 1, 12 if d % 2 else 4)
+            spider = make_spider(colour, phase, n_in, n_out)
+            for _ in range(loops):
+                spider.add_edge("s0", "s0")
+            M = choose_modulus(spider)
+            exact_form = _spider_closed_form(colour, phase, n_in, n_out, (
+                CycloScalar.one(M), root_of_unity(phase.num, phase.den, M),
+                sqrt_two(M).scale(Fraction(1, 2))))
+            m = interpret(spider)
+            assert all(e == exact_form(r, c) for r, row in enumerate(m.entries)
+                       for c, e in enumerate(row)), (colour, n_in, n_out, loops)
+            float_form = _spider_closed_form(colour, phase, n_in, n_out, (
+                complex(1), cmath.exp(1j * phase.radians), complex(2 ** -0.5)))
+            m = interpret(spider, backend="float")
+            assert all(abs(e - float_form(r, c)) < 1e-9 for r, row in enumerate(m.entries)
+                       for c, e in enumerate(row)), (colour, n_in, n_out, loops)
+
+
+def test_twenty_self_loops_fit_the_default_cap():
+    d = make_spider(Z, PiRational(1, 4), 1, 1)
+    for _ in range(20):
+        d.add_edge("s0", "s0")
+    assert plan_contraction(d).peak_rank == 2
+    assert interpret(d) == interpret(make_spider(Z, PiRational(1, 4), 1, 1))
+    assert interpret(d, backend="float").to_complex() == [[1, 0], [0, cmath.exp(1j * math.pi / 4)]]

@@ -117,6 +117,20 @@ def test_derived_rules_sound_on_grids():
                     assert check_soundness(inst).sound, inst.key()
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"grid_den": 0}, "angle grid pi/0 is empty"),
+    ({"grid_den": -2}, "angle grid pi/-2 is empty"),
+    ({"max_arity": -1}, "max arity -1 is negative"),
+])
+def test_empty_sweeps_are_refused(kwargs, message):
+    with pytest.raises(RuleError, match=message):
+        soundness_suite("ZX", **kwargs)
+    with pytest.raises(RuleError, match=message):
+        invariant_preservation_check("ZX", **kwargs)
+    with pytest.raises(RuleError, match="random draw count -5 is negative"):
+        soundness_suite("ZX", n_random=-5)
+
+
 def test_invariant_preservation_zx():
     report = {e.rule: e.preserving for e in invariant_preservation_check(
         "ZX", max_arity=2, grid_den=2)}

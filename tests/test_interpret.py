@@ -431,3 +431,35 @@ def test_twenty_self_loops_fit_the_default_cap():
     assert plan_contraction(d).peak_rank == 2
     assert interpret(d) == interpret(make_spider(Z, PiRational(1, 4), 1, 1))
     assert interpret(d, backend="float").to_complex() == [[1, 0], [0, cmath.exp(1j * math.pi / 4)]]
+
+
+@pytest.mark.parametrize("max_rank", [4, 16])
+@pytest.mark.parametrize("edges", [20, 27])
+@pytest.mark.parametrize("colour", [Z, X])
+def test_parallel_edges_fuse_through_multi_piece_chains(colour, edges, max_rank):
+    # two spiders joined by many parallel edges, with self-loops among them:
+    # each is cut into a chain of four or more pieces, and spider fusion (S1)
+    # makes the whole a 1 -> 1 spider with the summed phase
+    alpha, beta = PiRational(1, 4), PiRational(5, 12)
+    node = zspider if colour == Z else xspider
+    d = Diagram()
+    d.nodes["a"], d.nodes["b"] = node(alpha), node(beta)
+    d.inputs, d.outputs = ("i0",), ("o0",)
+    d.add_edge("i0", "a")
+    for k in range(edges):
+        d.add_edge("a", "b")
+        if k % 7 == 3:
+            d.add_edge("a", "a")
+            d.add_edge("b", "b")
+    d.add_edge("b", "o0")
+    phase = alpha + beta
+    M = choose_modulus(d)
+    exact_form = _spider_closed_form(colour, phase, 1, 1, (
+        CycloScalar.one(M), root_of_unity(phase.num, phase.den, M),
+        sqrt_two(M).scale(Fraction(1, 2))))
+    assert interpret(d, max_rank=max_rank).entries == [
+        [exact_form(r, c) for c in range(2)] for r in range(2)]
+    float_form = _spider_closed_form(colour, phase, 1, 1, (
+        complex(1), cmath.exp(1j * phase.radians), complex(2 ** -0.5)))
+    m = interpret(d, backend="float", max_rank=max_rank)
+    assert all(abs(m.entry(r, c) - float_form(r, c)) < 1e-9 for r in range(2) for c in range(2))

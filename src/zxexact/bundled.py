@@ -281,17 +281,6 @@ def make_inverse_pair(b: ScriptBuilder) -> tuple[str, str, str, str]:
 # green scalars against the zero catalyst (the appendix's middle chain)
 # ---------------------------------------------------------------------------
 
-def absorb_green_scalar(b: ScriptBuilder, g: str, alpha, catalyst: str) -> str:
-    """Z(pi) (x) Z(alpha)^0 -> Z(pi); returns the restored catalyst."""
-    x1, z1, x3, z3 = make_inverse_pair(b)
-    zk, zj = s1_split(b, g, alpha, ZERO)
-    cat = mend_wire(b, z_u=zj, u_end=zk, z_v=z1, v_end=x1, catalyst=catalyst)
-    idx = b.apply("L52", "ltr", {"px": zk, "pz": x1}, {}, {"alpha": alpha}, swap=True)
-    zk2, x1b = b.fresh(idx, "px"), b.fresh(idx, "pz")
-    consume_inverse_pair(b, x1b, zk2, x3, z3)
-    return cat
-
-
 def make_green_scalar(b: ScriptBuilder, alpha, catalyst: str) -> tuple[str, str]:
     """Z(pi) -> Z(pi) (x) Z(alpha)^0; returns (scalar node, catalyst)."""
     x1, z1, x3, z3 = make_inverse_pair(b)

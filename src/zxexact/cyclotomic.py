@@ -439,64 +439,26 @@ def sqrt_two(M: int) -> CycloScalar:
 # subfield membership
 # ---------------------------------------------------------------------------
 
-def _solve_exact(matrix: list[list[int]], rhs: list[int]) -> Optional[list[Fraction]]:
-    """Solve A x = b over the rationals by fraction-free (Bareiss) elimination.
-
-    Returns None if the system is inconsistent.  The matrix may have more rows
-    than columns; a rank-deficient but consistent system yields one solution
-    with free variables set to zero.
-    """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    width = n + 1
-    prev_pivot = 1
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        p = a[row][col]
-        for r in range(row + 1, m):
-            factor = a[r][col]
-            for c in range(width):
-                a[r][c] = (a[r][c] * p - factor * a[row][c]) // prev_pivot
-        prev_pivot = p
-        pivot_cols.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if a[r][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for r in range(len(pivot_cols) - 1, -1, -1):
-        col = pivot_cols[r]
-        acc = Fraction(a[r][n])
-        for c in range(col + 1, n):
-            acc -= Fraction(a[r][c]) * sol[c]
-        sol[col] = acc / a[r][col]
-    return sol
-
-
 def membership_solve(target: CycloScalar, generator_order: int) -> Optional[list[Fraction]]:
     """Decide whether ``target`` lies in the subfield Q(zeta_K) of its field.
 
-    K = ``generator_order`` must divide the target's modulus.  Returns the
-    rational coordinates of the target over the power basis {zeta_K^j} when it
-    is a member, and None otherwise.
+    K = ``generator_order`` must divide the target's modulus M, and every
+    prime factor of M must divide K.  Then Phi_M(X) = Phi_K(X^s) with
+    s = M/K, so the power basis z^i (i < phi(M)) is the tower basis
+    zeta_K^j * z^r (j < phi(K), r < s) with i = j*s + r, and the target is
+    a member exactly when every coefficient at an exponent not divisible by
+    s is zero.  Returns its rational coordinates over {zeta_K^j} when it is
+    a member, and None otherwise.
     """
     M = target.modulus
     K = generator_order
     if K < 1 or M % K != 0:
         raise ModulusError(f"subfield order {K} does not divide modulus {M}")
-    basis = [CycloScalar.zeta_power(M, j * (M // K)).coeffs for j in range(euler_phi(K))]
-    # powers of zeta have integer coordinates, so only the target's den remains
-    sol = _solve_exact([list(row) for row in zip(*basis)], list(target.coeffs))
-    return None if sol is None else [x / target.den for x in sol]
+    for p, _ in _prime_factors(M):
+        if K % p:
+            raise ModulusError(f"prime {p} of modulus {M} does not divide subfield order {K}")
+    s = M // K
+    coeffs = target.coeffs
+    if any(any(coeffs[r::s]) for r in range(1, s)):
+        return None
+    return [Fraction(c, target.den) for c in coeffs[::s]]

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from .diagram import (
     Diagram, DiagramError, NodeKind, PiRational, H,
-    _json, _norm_edge, add_phases, diagram_from_json, diagram_to_json,
+    _freshen, _json, _norm_edge, add_phases, diagram_from_json, diagram_to_json,
     phase_from_json, phase_is_exact, scale_phase, validate_diagram,
 )
 from .interpret import (
@@ -179,17 +179,11 @@ def apply_rewrite(host: Diagram, pattern: Diagram, replacement: Diagram,
     for hx in image:
         del out.nodes[hx]
 
-    fresh: dict[str, str] = {}
+    names = sorted(replacement.nodes)
     taken = out.all_ids() | set(host.nodes)
-    for u in sorted(replacement.nodes):
-        cand = f"{fresh_prefix}{u}"
-        k = 1
-        while cand in taken:
-            cand = f"{fresh_prefix}{u}~{k}"
-            k += 1
-        fresh[u] = cand
-        taken.add(cand)
-        out.nodes[cand] = replacement.nodes[u]
+    fresh = dict(zip(names, _freshen([fresh_prefix + u for u in names], taken).values()))
+    for u in names:
+        out.nodes[fresh[u]] = replacement.nodes[u]
 
     rports = replacement.ports()
     for a, b in replacement.edges:
@@ -347,13 +341,16 @@ class DerivationStep:
         _json(obj, dict, "a step")
         variant = _json(obj.get("variant", {}), dict, "a step's variant")
         match = _json(obj.get("match", {}), dict, "a step's match")
+        direction = obj.get("dir", "ltr")
+        if direction not in ("ltr", "rtl"):
+            raise DiagramError(f"a step's dir must be \"ltr\" or \"rtl\", got {direction!r}")
         return DerivationStep(
             rule=_json(obj.get("rule"), str, "a step's rule"),
-            direction=_json(obj.get("dir", "ltr"), str, "a step's dir"),
+            direction=direction,
             bindings={k: _binding_from_json(v) for k, v in
                       _json(obj.get("bindings", {}), dict, "a step's bindings").items()},
-            color_swap=bool(variant.get("swap", False)),
-            vertical_flip=bool(variant.get("flip", False)),
+            color_swap=_json(variant.get("swap", False), bool, "a step's variant.swap"),
+            vertical_flip=_json(variant.get("flip", False), bool, "a step's variant.flip"),
             embedding=Embedding(
                 node_map=dict(_json(match.get("nodes", {}), dict, "match.nodes", str)),
                 boundary_map={p: HalfEdge.from_json(h) for p, h in
@@ -371,9 +368,13 @@ def _binding_to_json(v) -> object:
 
 
 def _binding_from_json(v) -> object:
+    """A phase string, {"float": x} or a count; a bare float or a boolean
+    is refused rather than read as radians or as an integer."""
     if isinstance(v, (str, dict)):
         return phase_from_json(v)
-    return v
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise DiagramError(f'a binding must be a phase string, {{"float": x}} or an integer, got {v!r}')
 
 
 @dataclass
@@ -456,9 +457,9 @@ class Verdict:
 
 
 def apply_step(host: Diagram, step: DerivationStep, step_index: int = 0,
-               verify_imported: bool = True, tol: float = 1e-9,
-               max_rank: int = 16) -> Diagram:
-    """Apply one step to the host; raises on any rejection."""
+               tol: float = 1e-9, max_rank: int = 16) -> Diagram:
+    """Apply one step to the host; raises on any rejection.  Twin merges and
+    derived-imported rules are re-verified semantically at every use."""
     if step.rule == TWINS_RULE:
         n = step.bindings.get("n")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -467,12 +468,12 @@ def apply_step(host: Diagram, step: DerivationStep, step_index: int = 0,
         if n > len(node_map) or any(f"t{k}" not in node_map for k in range(n)):
             raise TwinError("twin step must map t0..t{n-1}")
         ids = [node_map[f"t{k}"] for k in range(n)]
-        if verify_imported and not twin_local_equivalence(host, ids, n, max_rank=max_rank):
+        if not twin_local_equivalence(host, ids, n, max_rank=max_rank):
             raise TwinError("twin merge failed its semantic re-verification")
         return merge_twins(host, ids, n)
     schema = get_schema(step.rule)
     inst = instantiate(schema, step.bindings, step.color_swap, step.vertical_flip)
-    if verify_imported and schema.origin == "derived-imported":
+    if schema.origin == "derived-imported":
         backend = EXACT if inst.lhs.is_exact() and inst.rhs.is_exact() else FLOAT
         if not check_soundness(inst, backend=backend, tol=tol, max_rank=max_rank).sound:
             raise RuleError(f"derived rule {step.rule} failed its semantic re-verification")

@@ -166,15 +166,6 @@ class Diagram:
         e = _norm_edge(a, b)
         return sum(1 for f in self.edges if f == e)
 
-    def neighbours(self, node_id: str) -> set[str]:
-        out = set()
-        for a, b in self.edges:
-            if a == node_id:
-                out.add(b)
-            if b == node_id:
-                out.add(a)
-        return out
-
     def copy(self) -> "Diagram":
         return Diagram(dict(self.nodes), list(self.edges), self.inputs, self.outputs)
 
@@ -482,7 +473,8 @@ def diagram_to_json(d: Diagram) -> dict:
     }
 
 
-_JSON_TYPES = {dict: "a JSON object", list: "a JSON list", str: "a string", int: "an integer"}
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON list", str: "a string", int: "an integer",
+               bool: "a boolean"}
 
 
 def _json(value: object, kind: type, what: str, item: Optional[type] = None):

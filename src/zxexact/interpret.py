@@ -273,10 +273,6 @@ class _Tensor:
         self.bits = bits
         self.fields = fields
 
-    @property
-    def rank(self) -> int:
-        return len(self.axes)
-
 
 def _spider_tensor_fresh(kind: NodeKind, degree: int, ring) -> tuple:
     if kind.kind == H:
@@ -716,11 +712,15 @@ class CompareResult:
         return self.equal
 
 
+def _check_tolerance(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
+
+
 def matrix_compare(a: SemanticMatrix, b: SemanticMatrix, tol: float = 1e-9) -> CompareResult:
     """Exact equality for exact backends, entrywise |delta| <= tol otherwise;
     ``tol`` must be a finite positive number."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
+    _check_tolerance(tol)
     if (a.n_inputs, a.m_outputs) != (b.n_inputs, b.m_outputs):
         raise ValueError("matrix dimensions differ")
     if a.backend == EXACT and b.backend == EXACT:
@@ -741,6 +741,9 @@ def matrix_compare(a: SemanticMatrix, b: SemanticMatrix, tol: float = 1e-9) -> C
 
 
 def is_zero(a: SemanticMatrix, tol: float = 1e-9) -> bool:
+    """Every entry zero, or of modulus at most ``tol`` on the float backend;
+    ``tol`` must be a finite positive number."""
+    _check_tolerance(tol)
     if a.backend == EXACT:
         return all(e.is_zero() for row in a.entries for e in row)
     return all(abs(e) <= tol for row in a.entries for e in row)

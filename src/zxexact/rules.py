@@ -25,12 +25,6 @@ from .interpret import (
 )
 
 
-def neg_phase(phase: Phase) -> Phase:
-    if isinstance(phase, PiRational):
-        return -phase
-    return normalize_float_phase(-phase)
-
-
 class RuleError(ValueError):
     """Unknown rule, bad binding, or an out-of-range arity."""
 
@@ -231,7 +225,7 @@ def _build_k2(b: dict) -> tuple[Diagram, Diagram]:
     rhs = Diagram()
     _pair(rhs, "px", "pz", x_phase=alpha, z_phase=PiRational(1))
     rhs.nodes["zp2"] = zspider(PiRational(1))
-    rhs.nodes["xa2"] = xspider(neg_phase(alpha))
+    rhs.nodes["xa2"] = xspider(scale_phase(alpha, -1))
     _ports(rhs, 1, 1)
     rhs.add_edge("i0", "zp2")
     rhs.add_edge("zp2", "xa2")
@@ -507,14 +501,14 @@ def instantiate(schema: RuleSchema | str, bindings: dict,
             v = PiRational.parse(v)
         elif isinstance(v, float):
             v = normalize_float_phase(v)
-        elif isinstance(v, int):
+        elif isinstance(v, int) and not isinstance(v, bool):
             v = PiRational(v)
         elif not isinstance(v, PiRational):
             raise RuleError(f"bad angle binding {p}={v!r}")
         norm[p] = v
     for p, floor in schema.arity_floors.items():
         v = bindings.get(p, floor)
-        if not isinstance(v, int) or v < floor:
+        if not isinstance(v, int) or isinstance(v, bool) or v < floor:
             raise RuleError(f"{schema.name} binding {p}={v!r} below floor {floor}")
         if v > MAX_ARITY:
             raise RuleError(f"{schema.name} binding {p}={v!r} above cap {MAX_ARITY}")

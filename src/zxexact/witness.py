@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .cyclotomic import lift_modulus, membership_solve, sqrt_two
+from .cyclotomic import _prime_factors, lift_modulus, membership_solve, sqrt_two
 from .diagram import (
     Diagram, PiRational, Z, make_spider, normalize_float_phase, scale_angles,
     tensor_product, xspider, zspider,
@@ -137,12 +137,8 @@ def witness_sqrt2(ks: Iterable[int] = range(1, 13)) -> WitnessReport:
 # necessity of each odd-prime supplementarity (angle multiplication by p^2)
 # ---------------------------------------------------------------------------
 
-def _primes_upto(n: int) -> list[int]:
-    out = []
-    for c in range(2, n + 1):
-        if all(c % p for p in out):
-            out.append(c)
-    return out
+def _is_prime(n: int) -> bool:
+    return _prime_factors(n) == [(n, 1)]
 
 
 def _scaled_instance(inst: RuleInstance, factor: int) -> RuleInstance:
@@ -160,8 +156,9 @@ def _scalar_pairs(n: int, wires: int) -> Diagram:
     return d
 
 
-def witness_sup_necessity(p: int, grid_den: int = 4, prime_ceiling: int = 13,
-                          max_arity: int = 2) -> WitnessReport:
+def witness_sup_necessity(p: int) -> WitnessReport:
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
     rep = WitnessReport(f"supnec-p{p}")
     if p not in (3, 5, 7):
         rep.applicable = False
@@ -169,11 +166,12 @@ def witness_sup_necessity(p: int, grid_den: int = 4, prime_ceiling: int = 13,
                 "the angle-multiplication argument needs an odd prime p in {3,5,7}")
         return rep
     f = p * p
+    grid_den = 4
 
     # (a) every ZX_E rule survives multiplying all angles by p^2
     for schema in ruleset_schemas("ZX_E"):
         bad = None
-        for inst in _instances(schema, max_arity, grid_den):
+        for inst in _instances(schema, 2, grid_den):  # arities up to 2
             inst = _scaled_instance(inst, f)
             res = check_soundness(inst)
             if not res.sound:
@@ -182,7 +180,7 @@ def witness_sup_necessity(p: int, grid_den: int = 4, prime_ceiling: int = 13,
         rep.add(f"ZX_E rule {schema.name} sound under x{f}", bad is None, bad or "")
 
     # ... and so does every other prime's supplementarity
-    for q in _primes_upto(prime_ceiling):
+    for q in filter(_is_prime, range(2, 14)):
         if q == p:
             continue
         dens = range(2 * grid_den) if q <= 7 else range(0, 2 * grid_den, grid_den // 2)
@@ -318,20 +316,9 @@ def theorem2_plug_pairs() -> dict[str, tuple[Diagram, Diagram]]:
     return {"thm2_d1_plug": (d1p, d1r), "thm2_d2_plug": (d2p, d2r)}
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _modulus_equation_roots(step: float = 1e-4, refine: float = 1e-13) -> list[float]:
-    """All roots of |cos(a + pi/2)| = sqrt(2/3) in [0, 2*pi), by dense scan
-    plus bisection refinement."""
+def _modulus_equation_roots() -> list[float]:
+    """All roots of |cos(a + pi/2)| = sqrt(2/3) in [0, 2*pi), by a scan in
+    steps of 1e-4 plus bisection to a bracket of 1e-13."""
     target = math.sqrt(2.0 / 3.0)
 
     def f(a: float) -> float:
@@ -341,14 +328,14 @@ def _modulus_equation_roots(step: float = 1e-4, refine: float = 1e-13) -> list[f
     a = 0.0
     prev = f(0.0)
     while a < 2 * math.pi:
-        b = min(a + step, 2 * math.pi)
+        b = min(a + 1e-4, 2 * math.pi)
         cur = f(b)
         if prev == 0.0:
             roots.append(a)
         elif prev * cur < 0:
             lo, hi = a, b
             flo = prev
-            while hi - lo > refine:
+            while hi - lo > 1e-13:
                 mid = (lo + hi) / 2
                 fmid = f(mid)
                 if flo * fmid <= 0:
@@ -408,7 +395,7 @@ def witness_theorem2(tol: float = 1e-9) -> WitnessReport:
     for q in range(2, 8):
         fact = math.factorial(q + 4)
         ok = fact % 8 == 0 and fact % 6 == 0 and all(
-            fact % r == 0 for r in _primes_upto(q))
+            fact % r == 0 for r in filter(_is_prime, range(2, q + 1)))
         rep.add(f"(q+4)! divisibility facts at q={q}", ok,
                 "divisible by 8, 6 and all primes <= q")
     return rep

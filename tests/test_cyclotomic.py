@@ -104,6 +104,45 @@ def test_membership_requires_divisor():
         membership_solve(sqrt_two(8), 6)
 
 
+@st.composite
+def _tower_member_case(draw):
+    """(M, K, x): 8 | M, K | M with every prime of M dividing K, and x half
+    the time a combination of zeta_K powers, otherwise that plus one stray
+    term z^e."""
+    M = 8 * draw(st.integers(1, 15))
+    primes = [p for p in range(2, M + 1) if M % p == 0 and all(p % q for q in range(2, p))]
+    radical = math.prod(primes)
+    K = draw(st.sampled_from([K for K in range(radical, M + 1, radical) if M % K == 0]))
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    terms = draw(st.dictionaries(st.integers(0, K - 1), rational, max_size=5))
+    x = CycloScalar(M, {j * (M // K): c for j, c in terms.items()})
+    if draw(st.booleans()):
+        x = x + CycloScalar(M, {draw(st.integers(0, M - 1)): draw(rational.filter(bool))})
+    return M, K, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tower_member_case())
+def test_membership_matches_the_galois_fixed_field(case):
+    M, K, x = case
+    coords = membership_solve(x, K)
+    # Q(zeta_K) is the fixed field of the sigma_a: z^i -> z^(a*i), a = 1 mod K
+    fixed = all(CycloScalar(M, {a * i: Fraction(c, x.den) for i, c in enumerate(x.coeffs)}) == x
+                for a in range(1, M, K) if math.gcd(a, M) == 1)
+    assert (coords is not None) == fixed
+    if coords is not None:
+        total = CycloScalar.zero(M)
+        for j, c in enumerate(coords):
+            total = total + CycloScalar.zeta_power(M, j * (M // K)).scale(c)
+        assert total == x
+
+
+@pytest.mark.parametrize("K", [8, 3])
+def test_membership_needs_every_prime_of_the_modulus(K):
+    with pytest.raises(ModulusError):
+        membership_solve(CycloScalar.one(24), K)
+
+
 def _random_scalar(rng: random.Random, m: int) -> CycloScalar:
     terms = {rng.randrange(m): Fraction(rng.randint(-4, 4), rng.randint(1, 4))
              for _ in range(rng.randint(0, 4))}

@@ -201,6 +201,59 @@ def test_load_script_malformed(tmp_path):
         load_script(str(path))
 
 
+def _bundled_step_field(path, field, value):
+    """Write the bundled sup4_from_sup2 script to ``path`` with one field of
+    its first step (an S1 split, applied colour-swapped) replaced."""
+    obj = load_bundled("sup4_from_sup2").to_json()
+    target = obj["steps"][0]
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (("variant", "swap"), "false", "variant.swap must be a boolean"),
+    (("variant", "flip"), "no", "variant.flip must be a boolean"),
+    (("variant", "swap"), 0, "variant.swap must be a boolean"),
+    (("bindings", "alpha"), 0.25, "a binding must be a phase string"),
+    (("bindings", "alpha"), True, "a binding must be a phase string"),
+    (("bindings", "wires"), True, "a binding must be a phase string"),
+    (("bindings", "wires"), None, "a binding must be a phase string"),
+    (("dir",), "up", "dir must be"),
+    (("dir",), 1, "dir must be"),
+])
+def test_script_step_fields_are_checked_not_coerced(tmp_path, capsys, field, value, message):
+    from zxexact.cli import run
+    from zxexact.diagram import DiagramError
+    path = tmp_path / "script.json"
+    _bundled_step_field(path, field, value)
+    with pytest.raises(DiagramError, match=message):
+        load_script(str(path))
+    assert run(["derive", "check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_script_step_well_typed_fields_still_load(tmp_path):
+    path = tmp_path / "script.json"
+    _bundled_step_field(path, ("bindings", "alpha"), {"float": 0.0})
+    step = load_script(str(path)).steps[0]
+    assert step.bindings["alpha"] == 0.0 and step.color_swap is True
+    _bundled_step_field(path, ("variant", "swap"), False)
+    assert load_script(str(path)).steps[0].color_swap is False
+
+
+@pytest.mark.parametrize("bindings", [
+    {"alpha": True, "beta": PiRational(0), "wires": 1},
+    {"alpha": PiRational(0), "beta": False, "wires": 1},
+    {"alpha": PiRational(0), "beta": PiRational(0), "wires": True},
+])
+def test_instantiate_refuses_bool_bindings(bindings):
+    with pytest.raises(RuleError):
+        instantiate("S1", bindings)
+
+
 # -- twins -------------------------------------------------------------------------
 
 def _twin_host(n, alpha, neighbour_mult=1):

@@ -348,6 +348,16 @@ def test_is_zero_examples():
     assert not is_zero(interpret(make_generator("identity")))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_is_zero_refuses_a_tolerance_that_is_not_finite_positive(tol):
+    # a phase-pi Z scalar is zero: nan read it as non-zero, inf made every matrix zero
+    for d in (make_spider(Z, PiRational(1), 0, 0), make_generator("identity")):
+        for backend in ("float", "exact"):
+            with pytest.raises(ValueError, match="tolerance must be a finite positive number"):
+                is_zero(interpret(d, backend=backend), tol=tol)
+    assert is_zero(interpret(make_spider(Z, PiRational(1), 0, 0), backend="float"), tol=1e-12)
+
+
 def test_sup2_at_zero_both_sides_vanish():
     from zxexact.rules import instantiate
     inst = instantiate("SUP", {"alpha": PiRational(0)})

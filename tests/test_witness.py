@@ -40,7 +40,7 @@ def test_sqrt2_witness_rejects_bad_k():
 
 
 def test_sup_necessity_p3():
-    rep = witness_sup_necessity(3, prime_ceiling=7)
+    rep = witness_sup_necessity(3)
     assert rep.verdict == "pass"
     unsound = [c for c in rep.checks if "unsound" in c.name]
     assert unsound and unsound[0].passed

@@ -22,7 +22,6 @@ from .derive import (
 from .rules import instantiate
 
 BUNDLED_SCRIPTS = ("iv_from_zxe", "zo_from_zxe", "sup4_from_sup2")
-BUNDLED_DATA = BUNDLED_SCRIPTS + ("thm2_d1_plug", "thm2_d2_plug")
 
 PI = PiRational(1)
 ZERO = PiRational(0)

@@ -17,7 +17,6 @@ import math
 import os
 import sys
 
-from .cyclotomic import CycloScalar
 from .diagram import DiagramError, PiRational, load_diagram
 from .derive import check_derivation, load_script
 from .interpret import (
@@ -45,16 +44,6 @@ def _env(name: str, kind: type, default):
     except ValueError:
         raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
                          f"got {val!r}") from None
-
-
-def _entry_repr(e) -> str:
-    if isinstance(e, CycloScalar):
-        coeffs = e.canonical()
-        if all(c == 0 for c in coeffs[1:]):
-            return str(coeffs[0])
-        return str(e)
-    sign = "+" if e.imag >= 0 else "-"
-    return f"{e.real:.12g}{sign}{abs(e.imag):.12g}i"
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -92,18 +81,19 @@ def _parse_variant(text: str) -> tuple[bool, bool]:
 def _cmd_interpret(args) -> int:
     d = load_diagram(args.file)
     m = interpret(d, backend=args.backend, max_rank=args.max_rank)
+    rows = [[m.entry_str(r, c) for c in range(m.cols)] for r in range(m.rows)]
     payload = {
         "schema": "1",
         "inputs": d.n_inputs,
         "outputs": d.n_outputs,
         "backend": m.backend,
-        "entries": [[_entry_repr(e) for e in row] for row in m.entries],
+        "entries": rows,
     }
     if m.is_scalar():
-        lines = [f"scalar: {_entry_repr(m.scalar())}"]
+        lines = [f"scalar: {rows[0][0]}"]
     else:
         lines = [f"matrix {m.rows}x{m.cols} ({m.backend})"]
-        lines += ["  ".join(_entry_repr(e) for e in row) for row in m.entries]
+        lines += ["  ".join(row) for row in rows]
     _emit(args, payload, lines)
     return PASS
 
@@ -293,7 +283,7 @@ def run(argv: list[str]) -> int:
         return USAGE
     try:
         return args.func(args)
-    except (DiagramError, RuleError, FileNotFoundError, ValueError) as exc:
+    except (DiagramError, RuleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except ResourceLimitError as exc:

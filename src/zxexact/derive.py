@@ -11,13 +11,12 @@ rule set are trusted as axioms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .diagram import (
     Diagram, DiagramError, NodeKind, PiRational, H,
-    _freshen, _json, _norm_edge, add_phases, diagram_from_json, diagram_to_json,
+    _freshen, _json, _load_json, _norm_edge, add_phases, diagram_from_json, diagram_to_json,
     phase_from_json, phase_is_exact, scale_phase, validate_diagram,
 )
 from .interpret import (
@@ -410,15 +409,7 @@ class DerivationScript:
 
 
 def load_script(path: str) -> DerivationScript:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DiagramError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    try:
-        return DerivationScript.from_json(obj)
-    except DiagramError as exc:
-        raise DiagramError(f"{path}: malformed script: {exc}") from exc
+    return _load_json(path, DerivationScript.from_json, "script")
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 TWO_PI = 2 * math.pi
 
@@ -40,12 +41,12 @@ class PiRational:
 
     @staticmethod
     def parse(text: str) -> "PiRational":
-        parts = text.split("/")
-        if len(parts) == 1:
-            return PiRational(int(parts[0]), 1)
-        if len(parts) == 2:
-            return PiRational(int(parts[0]), int(parts[1]))
-        raise DiagramError(f"bad phase literal {text!r}")
+        """The angle of the literal ``n`` or ``n/d`` (ASCII digits, ``n``
+        optionally negative) in units of pi."""
+        if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+            raise DiagramError(f"bad phase literal {text!r}")
+        num, _, den = text.partition("/")
+        return PiRational(int(num), int(den or 1))
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
@@ -509,14 +510,27 @@ def diagram_from_json(obj: object) -> Diagram:
     return d
 
 
-def load_diagram(path: str) -> Diagram:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+def _load_json(path: str, build: Callable[[object], object], what: str):
+    """``build`` applied to the JSON value in the file at ``path``.  A file
+    that cannot be read, is not UTF-8 or is not JSON, and a value that
+    ``build`` refuses, raise a DiagramError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DiagramError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    d = diagram_from_json(obj)
-    return ensure_valid(d)
+    except json.JSONDecodeError as exc:
+        raise DiagramError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise DiagramError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DiagramError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    try:
+        return build(obj)
+    except DiagramError as exc:
+        raise DiagramError(f"{path}: malformed {what}: {exc}") from exc
+
+
+def load_diagram(path: str) -> Diagram:
+    return _load_json(path, lambda obj: ensure_valid(diagram_from_json(obj)), "diagram")
 
 
 def dump_diagram(d: Diagram, path: str) -> None:

@@ -163,8 +163,12 @@ class _ExactRing:
         return self.leaf_fields.reduce(a * b)
 
     def pack(self, den: int, values) -> tuple:
-        """A leaf's fields; each distinct value is one shared int."""
-        return den, tuple(values), self.leaf_fields.bits(set(values)), self.leaf_fields
+        """A leaf's fields in lowest terms; each distinct value is one shared int."""
+        fields = self.leaf_fields
+        distinct = set(values)
+        den, strip = fields.lowest_terms(list(distinct), den)
+        shared = {v: v >> strip for v in distinct}
+        return den, tuple(map(shared.get, values)), fields.bits(shared.values()), fields
 
     def fit(self, tensors, extra: int):
         """``tensors`` in one layout whose fields hold a result bounded by
@@ -188,8 +192,7 @@ class _ExactRing:
 
     @staticmethod
     def matrix(den: int, data: list, fields: FieldLayout, n_in: int, n_out: int):
-        # one final strip: at a power-of-two M this form is canonical
-        den, _ = fields.lowest_terms(data, den)
+        # already in lowest terms: at a power-of-two M this form is canonical
         return SemanticMatrix._packed(den, data, fields, n_in, n_out)
 
 
@@ -261,7 +264,11 @@ def _ring_for(d: Diagram, backend: str):
 class _Tensor:
     """Entries over axes (the first axis most significant) in a ring's
     storage form, all divided by ``den``; a packed tensor also has its
-    ``fields`` and a bound ``bits`` on its entries' norm (``_ExactRing``)."""
+    ``fields`` and a bound ``bits`` on its entries' norm (``_ExactRing``).
+
+    A packed tensor is in lowest terms: ``den`` is 1 or some coefficient of
+    some entry is odd.  ``_ExactRing.pack`` strips each leaf once, when it
+    is built, and each contraction strips its result."""
 
     __slots__ = ("axes", "den", "data", "bits", "fields")
 
@@ -310,39 +317,28 @@ def _leaf_tensor(kind: NodeKind, degree: int, ring) -> tuple:
     return packed
 
 
-def _strides(axes: list[str]) -> dict[str, int]:
-    n = len(axes)
-    out = {}
-    for pos, a in enumerate(axes):
-        out[a] = 1 << (n - 1 - pos)
+def _offsets(axes: list[str], subset: list[str]) -> list[int]:
+    """out[i] = the flat offset, in a tensor over ``axes``, of bit pattern i
+    over ``subset`` (bit 0 = the last axis of ``subset``)."""
+    top = len(axes) - 1
+    out = [0]
+    for a in reversed(subset):
+        step = 1 << (top - axes.index(a))
+        out += [o + step for o in out]
     return out
 
 
-def _bases(free_axes: list[str], strides: dict[str, int]) -> list[int]:
-    """base[i] = flat offset of bit pattern i over free_axes (bit 0 = last axis)."""
-    m = len(free_axes)
-    out = [0] * (1 << m)
-    axis_strides = [strides[a] for a in free_axes]
-    for i in range(1, 1 << m):
-        low = i & -i
-        bit = low.bit_length() - 1
-        out[i] = out[i ^ low] + axis_strides[m - 1 - bit]
-    return out
-
-
-def _contract_pair(t1: _Tensor, t2: _Tensor, ring, max_rank: int) -> _Tensor:
+def _contract_pair(t1: _Tensor, t2: _Tensor, ring) -> _Tensor:
     """Sum over the shared axes; the result's axes are t1's free axes, then
     t2's.  The axis bookkeeping is common to both rings; each calls the
-    shared inner loop ``_products`` (``ring.contract``)."""
-    in1, in2 = set(t1.axes), set(t2.axes)
-    shared = [a for a in t1.axes if a in in2]
-    f1 = [a for a in t1.axes if a not in in2]
-    f2 = [a for a in t2.axes if a not in in1]
-    if len(f1) + len(f2) > max_rank:
-        raise ResourceLimitError(
-            f"contraction result rank {len(f1) + len(f2)} exceeds cap {max_rank}")
-    s1, s2 = _strides(t1.axes), _strides(t2.axes)
-    layout = (_bases(f1, s1), _bases(f2, s2), _bases(shared, s1), _bases(shared, s2))
+    shared inner loop ``_products`` (``ring.contract``).  The result's axes
+    are the symmetric difference whose rank ``_plan_greedy`` capped."""
+    a1, a2 = t1.axes, t2.axes
+    in1, in2 = set(a1), set(a2)
+    shared = [a for a in a1 if a in in2]
+    f1 = [a for a in a1 if a not in in2]
+    f2 = [a for a in a2 if a not in in1]
+    layout = (_offsets(a1, f1), _offsets(a2, f2), _offsets(a1, shared), _offsets(a2, shared))
     return ring.contract(t1, t2, f1 + f2, layout)
 
 
@@ -548,12 +544,14 @@ class SemanticMatrix:
         return SemanticMatrix(ents, a.n_inputs + b.n_inputs, a.m_outputs + b.m_outputs,
                               a.backend, a.modulus)
 
-    def entry_str(self, r: int, c: int, digits: int = 12) -> str:
+    def entry_str(self, r: int, c: int) -> str:
+        """Entry (r, c) as text; a rational exact entry is a plain fraction."""
         e = self.entries[r][c]
         if self.backend == EXACT:
-            return str(e)
+            coeffs = e.canonical()
+            return str(e) if any(coeffs[1:]) else str(coeffs[0])
         sign = "+" if e.imag >= 0 else "-"
-        return f"{e.real:.{digits}g}{sign}{abs(e.imag):.{digits}g}i"
+        return f"{e.real:.12g}{sign}{abs(e.imag):.12g}i"
 
 
 def _align(a: SemanticMatrix, b: SemanticMatrix) -> tuple[SemanticMatrix, SemanticMatrix]:
@@ -579,9 +577,8 @@ def _lift_matrix(m: SemanticMatrix, M: int) -> SemanticMatrix:
 def _matrix(t: _Tensor, ring, inputs: list[str], outputs: list[str]) -> SemanticMatrix:
     """The matrix of ``t``: rows over the output axes and columns over the
     input axes (the first of each most significant)."""
-    strides = _strides(t.axes)
-    cols = _bases(inputs, strides)
-    flat = [t.data[r + c] for r in _bases(outputs, strides) for c in cols]
+    cols = _offsets(t.axes, inputs)
+    flat = [t.data[r + c] for r in _offsets(t.axes, outputs) for c in cols]
     return ring.matrix(t.den, flat, t.fields, len(inputs), len(outputs))
 
 
@@ -590,13 +587,9 @@ def node_tensor(kind: NodeKind, n_in: int, n_out: int, backend: str = EXACT,
     """The generator matrix for a single spider or H box."""
     if kind.kind == H and (n_in, n_out) != (1, 1):
         raise ValueError("H box is a 1 -> 1 generator")
-    if backend == EXACT:
-        M = modulus
-        if M is None:
-            M = 8 if (kind.phase is None or not phase_is_exact(kind.phase)) else math.lcm(8, 2 * kind.phase.den)
-        ring = _exact_ring(M)
-    else:
-        ring = _FLOAT_RING
+    if backend == EXACT and modulus is None:
+        modulus = math.lcm(8, 2 * kind.phase.den) if phase_is_exact(kind.phase) else 8
+    ring = _exact_ring(modulus) if backend == EXACT else _FLOAT_RING
     # legs ordered inputs then outputs; symmetric tensors make the order moot
     inputs = [f"i{k}" for k in range(n_in)]
     outputs = [f"o{k}" for k in range(n_out)]
@@ -658,14 +651,9 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
 
     pool = {i: _Tensor(axes, *_leaf_tensor(kind, len(axes), ring))
             for i, (kind, axes) in enumerate(leaves)}
-    if pool:
-        next_id = len(pool)
-        for i, j in plan.steps:
-            pool[next_id] = _contract_pair(pool.pop(i), pool.pop(j), ring, max_rank)
-            next_id += 1
-        final = pool.popitem()[1]
-    else:
-        final = _Tensor([], *ring.pack(1, [ring.one]))
+    for new, (i, j) in enumerate(plan.steps, len(leaves)):
+        pool[new] = _contract_pair(pool.pop(i), pool.pop(j), ring)
+    final = pool.popitem()[1] if pool else _Tensor([], *ring.pack(1, [ring.one]))
 
     # order open axes: inputs then outputs, then reshape to a matrix
     inputs = [f"p:{p}" for p in d.inputs]

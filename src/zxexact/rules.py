@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .diagram import (
-    Diagram, Phase, PiRational,
-    add_phases, hbox, normalize_float_phase,
+    Diagram, Phase, PiRational, Z,
+    add_phases, hbox, make_spider, normalize_float_phase,
     scale_phase, transform_variant, xspider, zspider,
 )
 from .interpret import (
@@ -98,12 +98,7 @@ def _build_s1(b: dict) -> tuple[Diagram, Diagram]:
         lhs.add_edge("b", f"o{a_out + k}")
     for _ in range(j):
         lhs.add_edge("a", "b")
-    rhs = Diagram()
-    rhs.nodes["m"] = zspider(add_phases(b["alpha"], b["beta"]))
-    _ports(rhs, a_in + b_in, a_out + b_out)
-    for p in rhs.inputs + rhs.outputs:
-        rhs.add_edge(p, "m")
-    return lhs, rhs
+    return lhs, make_spider(Z, add_phases(b["alpha"], b["beta"]), a_in + b_in, a_out + b_out, "m")
 
 
 def _build_s2(b: dict) -> tuple[Diagram, Diagram]:
@@ -130,19 +125,20 @@ def _build_s3(b: dict) -> tuple[Diagram, Diagram]:
     return lhs, rhs
 
 
-def _pair(d: Diagram, xid: str, zid: str, x_phase: Phase = None, z_phase: Phase = None) -> None:
-    d.nodes[xid] = xspider(x_phase if x_phase is not None else PiRational(0))
-    d.nodes[zid] = zspider(z_phase if z_phase is not None else PiRational(0))
-    d.add_edge(xid, zid)
+def _pair(d: Diagram, xid: str, zid: str, x_phase: Phase = PiRational(0),
+          z_phase: Phase = PiRational(0), wires: int = 1) -> None:
+    """Add an X and a Z spider joined by ``wires`` parallel edges; at phase
+    0 that is the scalar sqrt2 for one wire and 1/sqrt2 for three."""
+    d.nodes[xid] = xspider(x_phase)
+    d.nodes[zid] = zspider(z_phase)
+    for _ in range(wires):
+        d.add_edge(xid, zid)
 
 
 def _build_iv(b: dict) -> tuple[Diagram, Diagram]:
     lhs = Diagram()
     _pair(lhs, "x1", "z1")
-    lhs.nodes["x3"] = xspider(PiRational(0))
-    lhs.nodes["z3"] = zspider(PiRational(0))
-    for _ in range(3):
-        lhs.add_edge("x3", "z3")
+    _pair(lhs, "x3", "z3", wires=3)
     return lhs, Diagram()
 
 
@@ -269,12 +265,7 @@ def _build_h(b: dict) -> tuple[Diagram, Diagram]:
         lhs.nodes[hid] = hbox()
         lhs.add_edge("x", hid)
         lhs.add_edge(hid, f"o{k}")
-    rhs = Diagram()
-    rhs.nodes["z"] = zspider(alpha)
-    _ports(rhs, n, m)
-    for p in rhs.inputs + rhs.outputs:
-        rhs.add_edge(p, "z")
-    return lhs, rhs
+    return lhs, make_spider(Z, alpha, n, m, "z")
 
 
 def _build_zo(b: dict) -> tuple[Diagram, Diagram]:
@@ -385,10 +376,7 @@ def _build_gb(b: dict) -> tuple[Diagram, Diagram]:
     for j in range(m):
         rhs.add_edge("zm", f"o{j}")
     for t in range((n - 1) * (m - 1)):
-        rhs.nodes[f"lx{t}"] = xspider(PiRational(0))
-        rhs.nodes[f"lz{t}"] = zspider(PiRational(0))
-        for _ in range(3):
-            rhs.add_edge(f"lx{t}", f"lz{t}")
+        _pair(rhs, f"lx{t}", f"lz{t}", wires=3)
     return lhs, rhs
 
 

@@ -23,7 +23,9 @@ from .diagram import (
 from .interpret import (
     EXACT, FLOAT, MAX_MODULUS, interpret, invariant_r, is_zero, matrix_compare,
 )
-from .rules import RuleInstance, _instances, check_soundness, instantiate, ruleset_schemas
+from .rules import (
+    RuleInstance, _instances, _pair, check_soundness, instantiate, ruleset_schemas,
+)
 
 
 @dataclass
@@ -149,10 +151,7 @@ def _scaled_instance(inst: RuleInstance, factor: int) -> RuleInstance:
 def _scalar_pairs(n: int, wires: int) -> Diagram:
     d = Diagram()
     for t in range(n):
-        d.nodes[f"px{t}"] = xspider(PiRational(0))
-        d.nodes[f"pz{t}"] = zspider(PiRational(0))
-        for _ in range(wires):
-            d.add_edge(f"px{t}", f"pz{t}")
+        _pair(d, f"px{t}", f"pz{t}", wires=wires)
     return d
 
 
@@ -254,13 +253,8 @@ def theorem2_d1() -> Diagram:
 
 def theorem2_d2(alpha, theta) -> Diagram:
     d = Diagram()
-    d.nodes["lx"] = xspider(PiRational(0))
-    d.nodes["lz"] = zspider(PiRational(0))
-    for _ in range(3):
-        d.add_edge("lx", "lz")
-    d.nodes["sx"] = xspider(PiRational(1))
-    d.nodes["sz"] = zspider(theta)
-    d.add_edge("sx", "sz")
+    _pair(d, "lx", "lz", wires=3)
+    _pair(d, "sx", "sz", PiRational(1), theta)
     d.nodes["b1"] = zspider(alpha)
     d.nodes["b2"] = xspider(PiRational(1, 3))
     d.nodes["b3"] = zspider(alpha)
@@ -290,27 +284,17 @@ def theorem2_plug_pairs() -> dict[str, tuple[Diagram, Diagram]]:
     consts = Theorem2Constants()
     d1p = _plug(theorem2_d1())
     d1r = Diagram()
-    d1r.nodes["pz"] = zspider(PiRational(1))
-    d1r.nodes["px"] = xspider(PiRational(1, 4))
-    d1r.add_edge("pz", "px")
+    _pair(d1r, "px", "pz", PiRational(1, 4), PiRational(1))
     d1r.nodes["half"] = zspider(PiRational(3, 2))
-    d1r.nodes["lx"] = xspider(PiRational(0))
-    d1r.nodes["lz"] = zspider(PiRational(0))
-    for _ in range(3):
-        d1r.add_edge("lx", "lz")
+    _pair(d1r, "lx", "lz", wires=3)
 
     alpha = normalize_float_phase(consts.alpha0)
     theta = normalize_float_phase(consts.theta0)
     d2p = _plug(theorem2_d2(alpha, theta))
     d2r = Diagram()
     for t in range(3):
-        d2r.nodes[f"lx{t}"] = xspider(PiRational(0))
-        d2r.nodes[f"lz{t}"] = zspider(PiRational(0))
-        for _ in range(3):
-            d2r.add_edge(f"lx{t}", f"lz{t}")
-    d2r.nodes["sx"] = xspider(PiRational(1))
-    d2r.nodes["sz"] = zspider(theta)
-    d2r.add_edge("sx", "sz")
+        _pair(d2r, f"lx{t}", f"lz{t}", wires=3)
+    _pair(d2r, "sx", "sz", PiRational(1), theta)
     d2r.nodes["third"] = xspider(PiRational(1, 3))
     d2r.nodes["merged"] = zspider(normalize_float_phase(2 * alpha + math.pi))
     return {"thm2_d1_plug": (d1p, d1r), "thm2_d2_plug": (d2p, d2r)}

@@ -1,11 +1,12 @@
 """Bundled derivation scripts: construction, data files, replay, mutations."""
 
 import copy
+from importlib import resources
 
 import pytest
 
 from zxexact.bundled import (
-    BUNDLED_SCRIPTS, build_script, load_bundled, load_bundled_pair,
+    BUNDLED_SCRIPTS, build_script, load_bundled, load_bundled_pair, write_data_files,
 )
 from zxexact.derive import check_derivation
 from zxexact.diagram import PiRational
@@ -15,6 +16,16 @@ from zxexact.interpret import interpret, matrix_compare
 @pytest.mark.parametrize("name", BUNDLED_SCRIPTS)
 def test_data_files_match_builders(name):
     assert build_script(name).to_json() == load_bundled(name).to_json()
+
+
+def test_data_files_regenerate_byte_for_byte(tmp_path):
+    write_data_files(str(tmp_path))
+    data = resources.files("zxexact.data")
+    names = BUNDLED_SCRIPTS + ("thm2_d1_plug", "thm2_d2_plug")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.json" for n in names)
+    for name in names:
+        assert ((tmp_path / f"{name}.json").read_bytes()
+                == data.joinpath(f"{name}.json").read_bytes()), name
 
 
 @pytest.mark.parametrize("name", BUNDLED_SCRIPTS)

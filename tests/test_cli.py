@@ -208,6 +208,38 @@ def test_missing_file_exits_two():
     assert run(["interpret", "/nonexistent/file.zx"]) == 2
 
 
+@pytest.mark.parametrize("command", [["interpret"], ["invariant"], ["derive", "check"]])
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+def test_unreadable_path_exits_two_naming_it(tmp_path, capsys, command, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"nodes": "\xff"}')
+    assert run(command + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
+@pytest.mark.parametrize("literal", ["x/y", "", " 1/2", "1/2 ", "1/2/3", "+1/2", "1/-2",
+                                     "\u0661/2"])
+def test_bad_phase_literal_exits_two_naming_it(tmp_path, capsys, literal):
+    script = _bundled("sup4_from_sup2.json")
+    script["steps"][0]["bindings"]["alpha"] = literal
+    diagram = {"inputs": [], "outputs": [], "edges": [],
+               "nodes": [{"id": "g", "kind": "Z", "phase": literal}]}
+    named = f"bad phase literal {literal!r}"
+    for argv, obj in ((["derive", "check"], script), (["interpret"], diagram)):
+        path = tmp_path / f"{argv[0]}.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert run(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err and str(path) in err
+    assert run(["rule", "check", "K2", "--bind", f"alpha={literal}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+
+
 def test_rule_list_and_show(capsys):
     assert run(["rule", "list"]) == 0
     assert "SUPn" in capsys.readouterr().out

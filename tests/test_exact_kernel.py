@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from zxexact import cyclotomic
 from zxexact.cyclotomic import CycloScalar, FieldLayout, root_of_unity, sqrt_two
 from zxexact.diagram import (
-    X, Z, Diagram, PiRational, hbox, make_generator, make_spider, sequential_compose,
+    X, Z, Diagram, NodeKind, PiRational, hbox, make_generator, make_spider, sequential_compose,
     tensor_product, xspider, zspider,
 )
 from zxexact.interpret import interpret, matrix_compare, node_tensor
@@ -175,10 +175,34 @@ def test_contraction_keeps_one_denominator_in_lowest_terms():
         t = h
         for k in range(1, 400):
             t = interp._contract_pair(
-                t, interp._Tensor([f"a{k}", f"a{k + 1}"], *leaf), ring, 16)
+                t, interp._Tensor([f"a{k}", f"a{k + 1}"], *leaf), ring)
             # k + 1 H boxes: the identity when k + 1 is even, H otherwise
             assert (t.den, _values(t)) == ((1, [one, zero, zero, one]) if k % 2
                                             else (2, [s, s, s, -s]))
+
+
+@pytest.mark.parametrize("modulus", [8, 24])
+def test_leaves_are_born_in_lowest_terms(modulus):
+    # e.g. the degree-1, phase-0 X spider is sqrt2 |0>: 2 * (1/sqrt2) over
+    # den 2 before the strip, the binomial over den 1 after it
+    ring = interp._exact_ring(modulus)
+    kinds = [(hbox(), 2)] + [(NodeKind(colour, PiRational(k, 4)), degree)
+                             for colour in (Z, X) for k in range(8) for degree in range(7)]
+    for kind, degree in kinds:
+        den, data, _, fields = interp._leaf_tensor(kind, degree, ring)
+        assert den == 1 or any(c % 2 for v in data for c in fields.decode(v)), (kind, degree)
+
+
+@given(st.lists(st.integers(0, 99), min_size=1, max_size=16, unique=True), st.data())
+@settings(max_examples=200, deadline=None)
+def test_offsets_sum_the_strides_of_the_set_bits(names, data):
+    axes = [f"a{n}" for n in names]
+    subset = data.draw(st.permutations(axes))[:data.draw(st.integers(0, min(8, len(axes))))]
+    table = interp._offsets(axes, subset)
+    assert len(table) == 1 << len(subset)
+    for i, offset in enumerate(table):
+        assert offset == sum(2 ** (len(axes) - 1 - axes.index(a))
+                             for bit, a in enumerate(reversed(subset)) if i >> bit & 1)
 
 
 def test_compare_passes_on_kernel_form_without_scalars(monkeypatch):

@@ -371,6 +371,14 @@ def test_float_entry_formatting():
     assert "0.7" in m.entry_str(0, 0)
 
 
+def test_rational_exact_entry_prints_as_a_fraction():
+    from zxexact.witness import _scalar_pairs
+    half = interpret(_scalar_pairs(2, 3))  # (1/sqrt2)^2
+    assert half.entry_str(0, 0) == "1/2" and str(half.scalar()) == "(1/2 | M=8)"
+    h = interpret(make_generator("hbox"))
+    assert h.entry_str(1, 1) == str(h.entry(1, 1)) == "(-1/2*z + 1/2*z^3 | M=8)"
+
+
 # -- fragment normalization (sqrt2 bookkeeping) -----------------------------------
 
 def test_pi3_fragment_entries_live_in_subfield():

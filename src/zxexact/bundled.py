@@ -15,9 +15,9 @@ import json
 from importlib import resources
 from typing import Optional
 
-from .diagram import Diagram, PiRational, _norm_edge, diagram_from_json, diagram_to_json
+from .diagram import Diagram, PiRational, _load_json, _norm_edge, diagram_from_json, diagram_to_json
 from .derive import (
-    DerivationScript, DerivationStep, Embedding, HalfEdge, apply_step,
+    DerivationScript, DerivationStep, Embedding, HalfEdge, apply_step, load_script,
 )
 from .rules import instantiate
 
@@ -327,14 +327,13 @@ def build_zo_script() -> DerivationScript:
 
 
 def build_sup4_script() -> DerivationScript:
-    quarter = PiRational(1, 4)
-    inst = instantiate("SUPn", {"n": 4, "alpha": quarter})
+    inst = instantiate("SUPn", {"n": 4, "alpha": QUARTER})
     b = ScriptBuilder("ZX_E", inst.lhs)
     xa, xb = s1_split(b, "x", ZERO, ZERO, swap=True,
                       a_out=[leg("x", "t0"), leg("x", "t2")],
                       b_out=[leg("x", "t1"), leg("x", "t3"), leg("x", "o0")])
     idx = b.apply("SUP", "ltr", {"t0": "t0", "t1": "t2", "x": xa},
-                  {"o0": leg(xa, xb)}, {"alpha": quarter})
+                  {"o0": leg(xa, xb)}, {"alpha": QUARTER})
     tm1, xa2 = b.fresh(idx, "tm"), b.fresh(idx, "x")
     xc, xd = s1_split(b, xb, ZERO, ZERO, swap=True,
                       a_out=[leg(xb, "t1"), leg(xb, "t3")],
@@ -367,15 +366,14 @@ def build_script(name: str) -> DerivationScript:
 
 def load_bundled(name: str) -> DerivationScript:
     """Load a bundled derivation script from the package data files."""
-    text = resources.files("zxexact.data").joinpath(f"{name}.json").read_text("utf-8")
-    return DerivationScript.from_json(json.loads(text))
+    return load_script(str(resources.files("zxexact.data") / f"{name}.json"))
 
 
 def load_bundled_pair(name: str) -> tuple[Diagram, Diagram]:
     """Load a bundled plugged/reduced diagram pair (the Theorem 2 chains)."""
-    text = resources.files("zxexact.data").joinpath(f"{name}.json").read_text("utf-8")
-    obj = json.loads(text)
-    return diagram_from_json(obj["plugged"]), diagram_from_json(obj["reduced"])
+    path = str(resources.files("zxexact.data") / f"{name}.json")
+    return _load_json(path, lambda obj: (diagram_from_json(obj["plugged"]),
+                                         diagram_from_json(obj["reduced"])), "diagram pair")
 
 
 def write_data_files(directory: str) -> None:

@@ -15,12 +15,14 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
-from .diagram import DiagramError, PiRational, load_diagram
+from .diagram import DiagramError, load_diagram
 from .derive import check_derivation, load_script
 from .interpret import (
-    EXACT, FLOAT, ResourceLimitError, interpret, invariant_g, invariant_r,
+    DEFAULT_MAX_RANK, DEFAULT_TOLERANCE, EXACT, FLOAT, ResourceLimitError, interpret,
+    invariant_g, invariant_r,
 )
 from .rules import (
     RULESETS, RuleError, catalogue, check_soundness, get_schema, instantiate,
@@ -55,15 +57,13 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _parse_binding(text: str):
+    """``name=value``: ASCII digits give an int, ``float:x`` radians, else text."""
     key, _, raw = text.partition("=")
     if not _ or not key:
         raise RuleError(f"binding must look like name=value, got {text!r}")
     if raw.startswith("float:"):
         return key, float(raw[6:])
-    try:
-        return key, int(raw)
-    except ValueError:
-        return key, PiRational.parse(raw)
+    return key, int(raw) if re.fullmatch(r"-?[0-9]+", raw) else raw
 
 
 def _parse_variant(text: str) -> tuple[bool, bool]:
@@ -213,9 +213,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--tolerance", "--tol", type=float,
-                        default=_env("ZXEXACT_TOLERANCE", float, 1e-9))
+                        default=_env("ZXEXACT_TOLERANCE", float, DEFAULT_TOLERANCE))
     common.add_argument("--max-rank", type=int,
-                        default=_env("ZXEXACT_MAX_RANK", int, 16))
+                        default=_env("ZXEXACT_MAX_RANK", int, DEFAULT_MAX_RANK))
     parser = argparse.ArgumentParser(prog="zxexact",
                                      description="exact ZX-calculus engine",
                                      parents=[common])

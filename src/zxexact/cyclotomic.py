@@ -210,8 +210,11 @@ class FieldLayout:
         return (q & self.low) - (q >> self.shift)
 
     def reduce_in_lowest_terms(self, data: list[int], den: int) -> tuple[int, int]:
-        """``reduce`` every entry of ``data`` in place, then divide the
-        entries and ``den`` as ``lowest_terms`` does."""
+        """``reduce`` every entry of ``data`` in place, then divide the entries
+        and ``den`` by the largest power of two dividing all of them.  Returns
+        the new denominator and the number of factors of 2 divided out.  An
+        entry that is already reduced (n fields) is unchanged by ``reduce``,
+        so this also brings reduced values to lowest terms."""
         bias, low, shift, half = self.bias, self.low, self.shift, self.half
         seen = 0  # bit j of field k is set when some entry's coefficient k has bit j set
         for k, v in enumerate(data):
@@ -219,19 +222,6 @@ class FieldLayout:
                 q = v + bias
                 v = data[k] = (q & low) - (q >> shift)
                 seen |= v + half
-        return self._strip(data, den, seen)
-
-    def lowest_terms(self, data: list[int], den: int) -> tuple[int, int]:
-        """Divide the entries of ``data`` (in place) and ``den`` by the
-        largest power of two dividing all of them.  Returns the new
-        denominator and the number of factors of 2 divided out."""
-        half = self.half
-        seen = 0
-        for v in data:
-            seen |= v + half
-        return self._strip(data, den, seen)
-
-    def _strip(self, data: list[int], den: int, seen: int) -> tuple[int, int]:
         strip = 0
         while not den & 1 and not seen & (self.parity << strip):
             strip += 1

@@ -17,10 +17,11 @@ from typing import Optional, Union
 from .diagram import (
     Diagram, DiagramError, NodeKind, PiRational, H,
     _freshen, _json, _load_json, _norm_edge, add_phases, diagram_from_json, diagram_to_json,
-    phase_from_json, phase_is_exact, scale_phase, validate_diagram,
+    phase_from_json, phase_is_exact, phase_to_json, scale_phase, validate_diagram,
 )
 from .interpret import (
-    EXACT, FLOAT, ResourceLimitError, interpret, invariant_r, matrix_compare,
+    DEFAULT_MAX_RANK, DEFAULT_TOLERANCE, EXACT, FLOAT, ResourceLimitError, interpret,
+    invariant_r, matrix_compare,
 )
 from .rules import (
     DERIVED_IMPORTED, RULESETS, RuleError, check_soundness, get_schema, instantiate,
@@ -204,9 +205,8 @@ def _twin_base_phase(phases: list[PiRational], n: int) -> PiRational:
     """Find alpha such that the phases are {alpha + 2k*pi/n}, else raise."""
     target = sorted((p.num, p.den) for p in phases)
     for cand in phases:
-        expect = sorted(((add_phases(cand, PiRational(2 * k, n))).num,
-                         (add_phases(cand, PiRational(2 * k, n))).den) for k in range(n))
-        if expect == target:
+        shifted = (add_phases(cand, PiRational(2 * k, n)) for k in range(n))
+        if sorted((p.num, p.den) for p in shifted) == target:
             return cand
     raise TwinError("phase pattern: angles do not divide the circle into equal parts")
 
@@ -254,10 +254,7 @@ def merge_twins(host: Diagram, twin_ids: list[str], n: int) -> Diagram:
     out.edges = [e for e in out.edges if e[0] not in twin_set and e[1] not in twin_set]
     for t in twin_ids:
         del out.nodes[t]
-    mid, k = "twins~0", 0
-    while mid in out.all_ids():
-        k += 1
-        mid = f"twins~{k}"
+    mid = _freshen(["twins~0"], out.all_ids())["twins~0"]
     out.nodes[mid] = NodeKind(colour, merged_phase)
     for v, m in sorted(common.items()):
         for _ in range(n * m):
@@ -266,9 +263,11 @@ def merge_twins(host: Diagram, twin_ids: list[str], n: int) -> Diagram:
 
 
 def twin_local_equivalence(host: Diagram, twin_ids: list[str], n: int,
-                           max_rank: int = 16) -> bool:
+                           max_rank: int = DEFAULT_MAX_RANK,
+                           tol: float = DEFAULT_TOLERANCE) -> bool:
     """Semantic check of a twin merge on the local subdiagram (twins plus
-    their neighbours, the neighbours' outer legs opened as ports)."""
+    their neighbours, the neighbours' outer legs opened as ports); ``tol``
+    applies when a neighbour's float phase puts it on the float backend."""
     merged = merge_twins(host, twin_ids, n)  # validates preconditions
     twin_set = set(twin_ids)
     neigh: set[str] = set()
@@ -306,7 +305,7 @@ def twin_local_equivalence(host: Diagram, twin_ids: list[str], n: int,
     backend = EXACT if lhs.is_exact() and rhs.is_exact() else FLOAT
     ml = interpret(lhs, backend=backend, max_rank=max_rank)
     mr = interpret(rhs, backend=backend, max_rank=max_rank)
-    return matrix_compare(ml, mr).equal
+    return matrix_compare(ml, mr, tol=tol).equal
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +358,7 @@ class DerivationStep:
 
 
 def _binding_to_json(v) -> object:
-    if isinstance(v, PiRational):
-        return str(v)
-    if isinstance(v, float):
-        return {"float": v}
-    return v
+    return v if isinstance(v, (int, str)) else phase_to_json(v)
 
 
 def _binding_from_json(v) -> object:
@@ -448,7 +443,7 @@ class Verdict:
 
 
 def apply_step(host: Diagram, step: DerivationStep, step_index: int = 0,
-               tol: float = 1e-9, max_rank: int = 16) -> Diagram:
+               tol: float = DEFAULT_TOLERANCE, max_rank: int = DEFAULT_MAX_RANK) -> Diagram:
     """Apply one step to the host; raises on any rejection.  Twin merges and
     derived-imported rules are re-verified semantically at every use."""
     if step.rule == TWINS_RULE:
@@ -459,7 +454,7 @@ def apply_step(host: Diagram, step: DerivationStep, step_index: int = 0,
         if n > len(node_map) or any(f"t{k}" not in node_map for k in range(n)):
             raise TwinError("twin step must map t0..t{n-1}")
         ids = [node_map[f"t{k}"] for k in range(n)]
-        if not twin_local_equivalence(host, ids, n, max_rank=max_rank):
+        if not twin_local_equivalence(host, ids, n, max_rank=max_rank, tol=tol):
             raise TwinError("twin merge failed its semantic re-verification")
         return merge_twins(host, ids, n)
     schema = get_schema(step.rule)
@@ -481,7 +476,7 @@ def apply_step(host: Diagram, step: DerivationStep, step_index: int = 0,
 
 
 def check_derivation(script: DerivationScript, paranoid: bool = False,
-                     tol: float = 1e-9, max_rank: int = 16) -> Verdict:
+                     tol: float = DEFAULT_TOLERANCE, max_rank: int = DEFAULT_MAX_RANK) -> Verdict:
     """Replay every step, verify the claimed final diagram, and report the
     invariant ledger.  Paranoid mode re-interprets the whole diagram after
     each step and insists on semantic equality with the previous state."""
@@ -497,7 +492,7 @@ def check_derivation(script: DerivationScript, paranoid: bool = False,
     notes: list[str] = []
     prev_matrix = None
     if paranoid:
-        prev_matrix, note = _try_interpret(state, tol, max_rank)
+        prev_matrix, note = _try_interpret(state, max_rank)
         if note:
             notes.append(f"initial: {note}")
 
@@ -515,7 +510,7 @@ def check_derivation(script: DerivationScript, paranoid: bool = False,
         inv = invariant_r(new_state)
         ledger.append(LedgerEntry(i, step.rule, inv, inv != ledger[-1].invariant))
         if paranoid:
-            cur_matrix, note = _try_interpret(new_state, tol, max_rank)
+            cur_matrix, note = _try_interpret(new_state, max_rank)
             if note:
                 notes.append(f"step {i}: {note}")
             if prev_matrix is not None and cur_matrix is not None:
@@ -532,7 +527,7 @@ def check_derivation(script: DerivationScript, paranoid: bool = False,
     return Verdict(True, None, "", ledger, notes)
 
 
-def _try_interpret(d: Diagram, tol: float, max_rank: int):
+def _try_interpret(d: Diagram, max_rank: int):
     backend = EXACT if d.is_exact() else FLOAT
     try:
         return interpret(d, backend=backend, max_rank=max_rank), None

@@ -311,6 +311,7 @@ def make_generator(name: str) -> Diagram:
 # ---------------------------------------------------------------------------
 
 def _freshen(ids: Iterable[str], taken: set[str]) -> dict[str, str]:
+    """Each id, or its first ``id~k`` (k >= 1) not in ``taken``; adds the results to ``taken``."""
     mapping = {}
     for i in ids:
         cand = i
@@ -354,16 +355,11 @@ def sequential_compose(later: Diagram, earlier: Diagram) -> Diagram:
     for n, kind in later.nodes.items():
         nodes[ren[n]] = kind
 
-    prefix = "junction~"
-    while any(i.startswith(prefix) for i in taken):
-        prefix += "j"
+    junctions = list(_freshen([f"junction~{k}" for k in range(later.n_inputs)], taken).values())
     junction_of: dict[str, str] = {}
-    junctions: list[str] = []
-    for k, (p_out, p_in) in enumerate(zip(earlier.outputs, later.inputs)):
-        j = f"{prefix}{k}"
+    for j, p_out, p_in in zip(junctions, earlier.outputs, later.inputs):
         junction_of[p_out] = j
         junction_of[ren[p_in]] = j
-        junctions.append(j)
 
     def resolve(end: str) -> str:
         return junction_of.get(end, end)
@@ -392,11 +388,7 @@ def sequential_compose(later: Diagram, earlier: Diagram) -> Diagram:
             raise DiagramError(f"composition junction {j} has degree {len(incident)}, expected 2")
 
     result = Diagram(nodes, edges, earlier.inputs, tuple(ren[p] for p in later.outputs))
-    for _ in range(loops):
-        loop_id, k = "loop~0", 0
-        while loop_id in result.all_ids():
-            k += 1
-            loop_id = f"loop~{k}"
+    for loop_id in _freshen([f"loop~{k}" for k in range(loops)], result.all_ids()).values():
         result.nodes[loop_id] = zspider(PiRational(0))
         result.edges.append((loop_id, loop_id))
     return result

@@ -53,6 +53,7 @@ from .diagram import (
 
 EXACT, FLOAT = "exact", "float"
 DEFAULT_MAX_RANK = 16
+DEFAULT_TOLERANCE = 1e-9  # float-backend entrywise tolerance
 
 
 class BackendError(ValueError):
@@ -166,7 +167,7 @@ class _ExactRing:
         """A leaf's fields in lowest terms; each distinct value is one shared int."""
         fields = self.leaf_fields
         distinct = set(values)
-        den, strip = fields.lowest_terms(list(distinct), den)
+        den, strip = fields.reduce_in_lowest_terms(list(distinct), den)
         shared = {v: v >> strip for v in distinct}
         return den, tuple(map(shared.get, values)), fields.bits(shared.values()), fields
 
@@ -288,11 +289,9 @@ def _spider_tensor_fresh(kind: NodeKind, degree: int, ring) -> tuple:
     ph = ring.phase(kind.phase)
     size = 1 << degree
     if kind.kind == Z:
-        if degree == 0:
-            return ring.pack(1, (ring.one + ph,))
         data = [ring.zero] * size
         data[0] = ring.one
-        data[size - 1] = ph
+        data[size - 1] += ph  # with no legs, the one entry 1 + e^{ia}
         return ring.pack(1, data)
     # X spider: (1/sqrt2)^degree * (1 + e^{ia} * (-1)^popcount)
     den, scale = ring.inv_sqrt2_pow(degree)
@@ -705,7 +704,8 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
 
 
-def matrix_compare(a: SemanticMatrix, b: SemanticMatrix, tol: float = 1e-9) -> CompareResult:
+def matrix_compare(a: SemanticMatrix, b: SemanticMatrix,
+                   tol: float = DEFAULT_TOLERANCE) -> CompareResult:
     """Exact equality for exact backends, entrywise |delta| <= tol otherwise;
     ``tol`` must be a finite positive number."""
     _check_tolerance(tol)
@@ -715,20 +715,18 @@ def matrix_compare(a: SemanticMatrix, b: SemanticMatrix, tol: float = 1e-9) -> C
         if a._kernel is not None and a._kernel == b._kernel:
             return CompareResult(True)  # one packed form, one ring element
         aa, bb = _align(a, b)
-        for r in range(aa.rows):
-            for c in range(aa.cols):
-                if aa.entries[r][c] != bb.entries[r][c]:
-                    return CompareResult(False, (r, c, str(aa.entries[r][c]), str(bb.entries[r][c])))
-        return CompareResult(True)
-    ca, cb = a.to_complex(), b.to_complex()
-    for r in range(len(ca)):
-        for c in range(len(ca[0])):
-            if abs(ca[r][c] - cb[r][c]) > tol:
-                return CompareResult(False, (r, c, str(ca[r][c]), str(cb[r][c])))
+        rows_a, rows_b, differs = aa.entries, bb.entries, operator.ne
+    else:
+        rows_a, rows_b = a.to_complex(), b.to_complex()
+        differs = lambda x, y: abs(x - y) > tol
+    for r, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
+        for c, (x, y) in enumerate(zip(row_a, row_b)):
+            if differs(x, y):
+                return CompareResult(False, (r, c, str(x), str(y)))
     return CompareResult(True)
 
 
-def is_zero(a: SemanticMatrix, tol: float = 1e-9) -> bool:
+def is_zero(a: SemanticMatrix, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Every entry zero, or of modulus at most ``tol`` on the float backend;
     ``tol`` must be a finite positive number."""
     _check_tolerance(tol)

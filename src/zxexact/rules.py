@@ -21,7 +21,8 @@ from .diagram import (
     scale_phase, transform_variant, xspider, zspider,
 )
 from .interpret import (
-    EXACT, FLOAT, MAX_MODULUS, ResourceLimitError, interpret, invariant_r, matrix_compare,
+    DEFAULT_MAX_RANK, DEFAULT_TOLERANCE, EXACT, FLOAT, MAX_MODULUS, ResourceLimitError,
+    interpret, invariant_r, matrix_compare,
 )
 
 
@@ -496,7 +497,9 @@ def instantiate(schema: RuleSchema | str, bindings: dict,
         norm[p] = v
     for p, floor in schema.arity_floors.items():
         v = bindings.get(p, floor)
-        if not isinstance(v, int) or isinstance(v, bool) or v < floor:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise RuleError(f"{schema.name} binding {p}={v!r} must be an integer")
+        if v < floor:
             raise RuleError(f"{schema.name} binding {p}={v!r} below floor {floor}")
         if v > MAX_ARITY:
             raise RuleError(f"{schema.name} binding {p}={v!r} above cap {MAX_ARITY}")
@@ -527,7 +530,8 @@ class SoundnessResult:
 
 
 def check_soundness(instance: RuleInstance, backend: str = EXACT,
-                    tol: float = 1e-9, max_rank: int = 16) -> SoundnessResult:
+                    tol: float = DEFAULT_TOLERANCE,
+                    max_rank: int = DEFAULT_MAX_RANK) -> SoundnessResult:
     lhs = interpret(instance.lhs, backend=backend, max_rank=max_rank)
     rhs = interpret(instance.rhs, backend=backend, max_rank=max_rank)
     cmp = matrix_compare(lhs, rhs, tol=tol)
@@ -613,8 +617,8 @@ def _suite_entry(inst: RuleInstance, backend: str, tol: float, max_rank: int) ->
 
 
 def soundness_suite(ruleset: str, max_arity: int = 3, grid_den: int = 4,
-                    n_random: int = 0, seed: int = 0, tol: float = 1e-9,
-                    max_rank: int = 16,
+                    n_random: int = 0, seed: int = 0, tol: float = DEFAULT_TOLERANCE,
+                    max_rank: int = DEFAULT_MAX_RANK,
                     schema_names: Optional[list[str]] = None) -> SuiteReport:
     """Check every schema x variant x arity x grid angle exactly, plus
     ``n_random`` float-angle draws per schema at tolerance ``tol``."""

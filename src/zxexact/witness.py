@@ -21,7 +21,8 @@ from .diagram import (
     tensor_product, xspider, zspider,
 )
 from .interpret import (
-    EXACT, FLOAT, MAX_MODULUS, interpret, invariant_r, is_zero, matrix_compare,
+    DEFAULT_TOLERANCE, EXACT, FLOAT, MAX_MODULUS, interpret, invariant_r, is_zero,
+    matrix_compare,
 )
 from .rules import (
     RuleInstance, _instances, _pair, check_soundness, instantiate, ruleset_schemas,
@@ -335,7 +336,7 @@ def _modulus_equation_roots() -> list[float]:
     return deduped
 
 
-def witness_theorem2(tol: float = 1e-9) -> WitnessReport:
+def witness_theorem2(tol: float = DEFAULT_TOLERANCE) -> WitnessReport:
     rep = WitnessReport("thm2")
     consts = Theorem2Constants()
     a0, t0 = consts.alpha0, consts.theta0

@@ -240,6 +240,35 @@ def test_bad_phase_literal_exits_two_naming_it(tmp_path, capsys, literal):
     assert err.count("\n") == 1 and named in err
 
 
+@pytest.mark.parametrize("literal", ["1_0", "+1", " 1", "\u0661"])
+def test_bind_value_that_is_no_integer_or_phase_literal_exits_two(capsys, literal):
+    assert run(["rule", "check", "K2", "--bind", f"alpha={literal}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"bad phase literal {literal!r}" in err
+
+
+@pytest.mark.parametrize("args, backend, instance", [
+    (["SUPn", "--bind", "n=3", "--bind", "alpha=3"], "exact", "SUPn[alpha=1/1,n=3]-"),
+    (["K2", "--bind", "alpha=3"], "exact", "K2[alpha=1/1]-"),
+    (["K2", "--bind", "alpha=-1/4"], "exact", "K2[alpha=7/4]-"),
+    (["K2", "--bind", "alpha=float:0.3"], "float", "K2[alpha=0.300000]-"),
+])
+def test_bind_values_keep_their_reports(capsys, args, backend, instance):
+    assert run(["rule", "check"] + args + ["--json"]) == 0
+    assert capsys.readouterr().out == (
+        f'{{"backend": "{backend}", "instance": "{instance}", "schema": "1", '
+        f'"status": "sound", "witness": null}}\n')
+
+
+@pytest.mark.parametrize("n, message", [("1/2", "binding n='1/2' must be an integer"),
+                                        ("+3", "binding n='+3' must be an integer"),
+                                        ("0", "binding n=0 below floor 1")])
+def test_arity_binding_that_is_no_integer_is_named_as_such(capsys, n, message):
+    assert run(["rule", "check", "SUPn", "--bind", f"n={n}", "--bind", "alpha=0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
 def test_rule_list_and_show(capsys):
     assert run(["rule", "list"]) == 0
     assert "SUPn" in capsys.readouterr().out

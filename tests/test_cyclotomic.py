@@ -279,7 +279,7 @@ def test_rows_agree_with_scalar_ops(case):
     ra2, rb2 = to_row(a, den), to_row(b, den)
     assert fields.scalar(ra2 + rb2, den) == a + b
     rows = [ra2, rb2, 0]
-    small, strip = fields.lowest_terms(rows, 6 * den)
+    small, strip = fields.reduce_in_lowest_terms(rows, 6 * den)
     assert small * 2 ** strip == 6 * den
     assert [fields.scalar(r, small) for r in rows] == [a.scale(Fraction(1, 6)),
                                                        b.scale(Fraction(1, 6)),
@@ -316,7 +316,24 @@ def test_packed_fields_agree_with_scalar_ops(M, width, data):
     assert den * 2 ** strip == 64
     assert den == 1 or any(c % 2 for v in entries for c in fields.decode(v))  # lowest terms
     doubled = [2 * v for v in entries]
-    assert fields.lowest_terms(doubled, 2 * den) == (den, 1) and doubled == entries
+    assert fields.reduce_in_lowest_terms(doubled, 2 * den) == (den, 1) and doubled == entries
+
+
+@given(st.sampled_from((8, 24, 40, 312)), st.sampled_from((32, 64)), st.data())
+@settings(max_examples=120, deadline=None)
+def test_reduce_leaves_a_reduced_value_unchanged(M, width, data):
+    # leaves are brought to lowest terms through reduce_in_lowest_terms, whose
+    # reduce must then be the identity on every value the fields hold
+    fields = FieldLayout(M, width)
+    top = 2 ** fields.limit
+    budget, coeffs = top, []
+    for c in data.draw(st.lists(st.integers(-top, top), min_size=fields.n, max_size=fields.n)):
+        c = max(-budget, min(budget, c))
+        coeffs.append(c)
+        budget -= abs(c)
+    assert sum(map(abs, coeffs)) <= top
+    value = fields.encode(coeffs)
+    assert fields.reduce(value) == value
 
 
 def test_packed_fields_refuse_a_coefficient_that_does_not_fit():

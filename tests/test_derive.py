@@ -1,10 +1,13 @@
 """Embedding validation, step application, script checking, twin merging."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
+from zxexact import rules
+from zxexact.cli import run
 from zxexact.diagram import (
     Diagram, PiRational, Z, make_generator, make_spider, tensor_product,
     xspider, zspider,
@@ -358,3 +361,66 @@ def test_twin_local_equivalence_random():
         assert twin_local_equivalence(d, [f"t{k}" for k in range(n)], n)
         out = merge_twins(d, [f"t{k}" for k in range(n)], n)
         assert matrix_compare(interpret(d), interpret(out)).equal
+
+
+def _float_neighbour_twin_script():
+    """Z(0) and Z(pi) twins on one X spider of float phase 0.3 that also
+    carries an output: the twin merge is re-checked on the float backend."""
+    d = Diagram()
+    d.nodes["x"] = xspider(0.3)
+    d.outputs = ("o0",)
+    d.add_edge("x", "o0")
+    for k, phase in enumerate((PiRational(0), PiRational(1))):
+        d.nodes[f"t{k}"] = zspider(phase)
+        d.add_edge(f"t{k}", "x")
+    final = merge_twins(d, ["t0", "t1"], 2)
+    step = DerivationStep("TWINS", bindings={"n": 2},
+                          embedding=Embedding({"t0": "t0", "t1": "t1"}))
+    return DerivationScript("ZX", d, [step], final, {v: v for v in final.nodes})
+
+
+def test_twin_recheck_uses_the_given_tolerance(tmp_path, capsys):
+    script = _float_neighbour_twin_script()
+    assert check_derivation(script).accepted
+    verdict = check_derivation(script, tol=1e-300)
+    assert not verdict.accepted and verdict.failed_step == 0
+    assert "semantic re-verification" in verdict.reason
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps(script.to_json()), encoding="utf-8")
+    assert run(["derive", "check", str(path)]) == 0
+    assert run(["derive", "check", str(path), "--tol", "1e-300"]) == 1
+    assert "rejected at 0" in capsys.readouterr().out
+
+
+def _s2_round_trip_script():
+    """A dot put on the wire into a 3-legged spider by S2, then taken off."""
+    initial = make_spider(Z, PiRational(1, 4), 1, 2, "a")
+    put = DerivationStep("S2", "rtl", embedding=Embedding(
+        {}, {"i0": leg("a", "i0"), "o0": leg("i0", "a")}))
+    take = DerivationStep("S2", "ltr", embedding=Embedding(
+        {"u": "s0.u"}, {"i0": leg("s0.u", "i0"), "o0": leg("s0.u", "a")}))
+    return DerivationScript("ZX", initial, [put, take], initial.copy(), {"a": "a"})
+
+
+def test_paranoid_check_rejects_semantic_drift(monkeypatch):
+    # a corrupted axiom: S2's dot rewrites to Z(pi), not to a plain wire
+    def corrupt(b):
+        return rules._build_s2(b)[0], make_spider(Z, PiRational(1), 1, 1, "u")
+    monkeypatch.setitem(rules._BY_NAME, "S2",
+                        dataclasses.replace(rules.get_schema("S2"), build=corrupt))
+    script = DerivationScript("ZX", make_spider(Z, PiRational(0), 1, 1, "u"), [
+        DerivationStep("S2", "ltr", embedding=Embedding(
+            {"u": "u"}, {"i0": leg("u", "i0"), "o0": leg("u", "o0")}))],
+        make_spider(Z, PiRational(1), 1, 1, "v"), {"s0.u": "v"})
+    assert check_derivation(script).accepted
+    verdict = check_derivation(script, paranoid=True)
+    assert not verdict.accepted and verdict.failed_step == 0
+    assert verdict.reason.startswith("semantic drift")
+
+
+def test_paranoid_check_notes_each_diagram_over_the_rank_cap():
+    verdict = check_derivation(_s2_round_trip_script(), paranoid=True, max_rank=2)
+    assert verdict.accepted
+    assert [n.split(":")[0] for n in verdict.paranoid_notes] == ["initial", "step 0", "step 1"]
+    assert all("exceeds cap 2" in n for n in verdict.paranoid_notes)
+    assert check_derivation(_s2_round_trip_script(), paranoid=True).paranoid_notes == []

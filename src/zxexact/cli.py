@@ -33,18 +33,25 @@ from .witness import (
 )
 
 PASS, FAIL, USAGE = 0, 1, 2
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _env(name: str, kind: type, default):
-    """The environment variable ``name`` read as ``kind``; ``ValueError``
-    names the variable when it does not parse."""
+def _integer(text: str) -> int:
+    """ASCII digits, maybe after a minus (``int`` also takes other digits and ``_``)."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _env(name: str, kind, default):
+    """Variable ``name`` read by ``kind``; ``ValueError`` names it when it does not parse."""
     val = os.environ.get(name)
     if not val:
         return default
     try:
         return kind(val)
-    except ValueError:
-        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"{name} must be {'an integer' if kind is _integer else 'a number'}, "
                          f"got {val!r}") from None
 
 
@@ -63,7 +70,7 @@ def _parse_binding(text: str):
         raise RuleError(f"binding must look like name=value, got {text!r}")
     if raw.startswith("float:"):
         return key, float(raw[6:])
-    return key, int(raw) if re.fullmatch(r"-?[0-9]+", raw) else raw
+    return key, int(raw) if _INTEGER.fullmatch(raw) else raw
 
 
 def _parse_variant(text: str) -> tuple[bool, bool]:
@@ -195,8 +202,7 @@ def _cmd_witness(args) -> int:
     if args.which == "prop1":
         rep = witness_E_independence()
     elif args.which == "sqrt2":
-        ks = [int(k) for k in args.k.split(",")] if args.k else range(1, 13)
-        rep = witness_sqrt2(ks)
+        rep = witness_sqrt2(args.k or range(1, 13))
     elif args.which == "supnec":
         rep = witness_sup_necessity(args.p)
     else:
@@ -209,16 +215,19 @@ def _cmd_witness(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one line, as every other usage error
+        print(f"error: {message}", file=sys.stderr)
+        self.exit(USAGE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # every level takes these flags with no default (``run`` passes them)
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--tolerance", "--tol", type=float,
-                        default=_env("ZXEXACT_TOLERANCE", float, DEFAULT_TOLERANCE))
-    common.add_argument("--max-rank", type=int,
-                        default=_env("ZXEXACT_MAX_RANK", int, DEFAULT_MAX_RANK))
-    parser = argparse.ArgumentParser(prog="zxexact",
-                                     description="exact ZX-calculus engine",
-                                     parents=[common])
+    common.add_argument("--tolerance", "--tol", type=float)
+    common.add_argument("--max-rank", type=_integer)
+    parser = _Parser(prog="zxexact", description="exact ZX-calculus engine", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name: str, **kw):
@@ -234,20 +243,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_invariant)
 
     p = add_parser("rule", help="rule catalogue")
-    p.add_argument("action", choices=["list", "show", "check"])
-    p.add_argument("name", nargs="?")
+    p.set_defaults(func=_cmd_rule)
+    actions = p.add_subparsers(dest="action", required=True)
+    actions.add_parser("list", parents=[common], help="every rule schema")
+    actions.add_parser("show", parents=[common], help="one schema").add_argument("name")
+    p = actions.add_parser("check", parents=[common], help="one instance's soundness")
+    p.add_argument("name")
     p.add_argument("--bind", action="append", metavar="NAME=VALUE")
     p.add_argument("--variant", default="none", help="swap,flip")
     p.add_argument("--backend", choices=[EXACT, FLOAT], default=EXACT)
-    p.set_defaults(func=_cmd_rule)
 
     p = add_parser("suite", help="soundness / invariant sweeps")
     p.add_argument("kind", choices=["soundness", "invariants"])
     p.add_argument("--ruleset", default="ZX", choices=sorted(RULESETS))
-    p.add_argument("--max-arity", type=int, default=3)
-    p.add_argument("--grid", type=int, default=4, metavar="K", help="pi/K angle grid")
-    p.add_argument("--random", type=int, default=0)
-    p.add_argument("--seed", type=int, default=_env("ZXEXACT_SEED", int, 0))
+    p.add_argument("--max-arity", type=_integer, default=3)
+    p.add_argument("--grid", type=_integer, default=4, metavar="K", help="pi/K angle grid")
+    p.add_argument("--random", type=_integer, default=0)
+    p.add_argument("--seed", type=_integer, default=_env("ZXEXACT_SEED", _integer, 0))
     p.set_defaults(func=_cmd_suite)
 
     p = add_parser("derive", help="check a derivation script")
@@ -259,20 +271,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("witness", help="incompleteness witnesses")
     p.add_argument("which", choices=["prop1", "sqrt2", "supnec", "thm2"])
-    p.add_argument("--k", help="comma-separated k values for sqrt2")
-    p.add_argument("--p", type=int, default=3, help="odd prime for supnec")
+    p.add_argument("--k", help="comma-separated k values for sqrt2",
+                   type=lambda text: [_integer(k) for k in text.split(",")] if text else None)
+    p.add_argument("--p", type=_integer, default=3, help="odd prime for supnec")
     p.set_defaults(func=_cmd_witness)
     return parser
 
 
 def run(argv: list[str]) -> int:
     try:
+        defaults = argparse.Namespace(
+            json=False, tolerance=_env("ZXEXACT_TOLERANCE", float, DEFAULT_TOLERANCE),
+            max_rank=_env("ZXEXACT_MAX_RANK", _integer, DEFAULT_MAX_RANK))
         parser = _build_parser()
     except ValueError as exc:  # a malformed environment variable
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, defaults)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):

@@ -10,7 +10,16 @@ degree is cut into a same-colour chain (spider fusion), so no leaf is wider
 than the degree limit.  A port-to-port wire is a phase-0 Z spider of degree
 2, the identity.  Contraction is pairwise, in a greedy order that keeps
 intermediate rank small, with a hard cap; the order is built incrementally,
-rescoring after each merge only the pairs of the new tensor.
+rescoring after each merge only the pairs of the new tensor.  A diagram's
+program (the steps, their offset layouts and where the ports sit in the
+result) depends only on its shape: the leaf axes, the port order and the cap.
+Programs of three or more leaves are kept in one memo of at most
+``PROGRAM_CACHE_LEAVES`` leaves, oldest dropped first, so a shape met again
+(SUP_n over an angle grid, one circuit's exact and float runs) is planned
+once; a plan over the cap raises and is not kept.  One- and two-leaf
+programs, nearly every rule-sweep diagram, are rebuilt per call: storing
+them speeds the sweep up but raises its benchmark's peak memory, whose
+per-verdict latency store then grows, past its bound.
 
 The float backend stores complex entries.  The exact backend has one
 kernel for every modulus M (divisible by 8).  zeta_M^(M/2) = -1, so Phi_M
@@ -40,6 +49,7 @@ import cmath
 import heapq
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -81,6 +91,7 @@ class ResourceLimitError(RuntimeError):
 # rings and about 2,000 leaf tensors.
 RING_CACHE_SIZE = 64
 TENSOR_CACHE_SIZE = 4096
+PROGRAM_CACHE_LEAVES = 2048
 
 # The largest modulus the exact backend builds a field for.  Tests use at
 # most 1,040 and the benchmark 312; the field of phase 1/99991 (M = 799,928)
@@ -263,9 +274,9 @@ def _ring_for(d: Diagram, backend: str):
 # ---------------------------------------------------------------------------
 
 class _Tensor:
-    """Entries over axes (the first axis most significant) in a ring's
-    storage form, all divided by ``den``; a packed tensor also has its
-    ``fields`` and a bound ``bits`` on its entries' norm (``_ExactRing``).
+    """Entries over axes (the first most significant; None when a program's
+    layouts place them) in a ring's storage form, all divided by ``den``; a
+    packed tensor also has ``fields`` and a bound ``bits`` (``_ExactRing``).
 
     A packed tensor is in lowest terms: ``den`` is 1 or some coefficient of
     some entry is odd.  ``_ExactRing.pack`` strips each leaf once, when it
@@ -316,7 +327,7 @@ def _leaf_tensor(kind: NodeKind, degree: int, ring) -> tuple:
     return packed
 
 
-def _offsets(axes: list[str], subset: list[str]) -> list[int]:
+def _offsets(axes, subset) -> list[int]:
     """out[i] = the flat offset, in a tensor over ``axes``, of bit pattern i
     over ``subset`` (bit 0 = the last axis of ``subset``)."""
     top = len(axes) - 1
@@ -327,18 +338,20 @@ def _offsets(axes: list[str], subset: list[str]) -> list[int]:
     return out
 
 
-def _contract_pair(t1: _Tensor, t2: _Tensor, ring) -> _Tensor:
-    """Sum over the shared axes; the result's axes are t1's free axes, then
-    t2's.  The axis bookkeeping is common to both rings; each calls the
-    shared inner loop ``_products`` (``ring.contract``).  The result's axes
-    are the symmetric difference whose rank ``_plan_greedy`` capped."""
-    a1, a2 = t1.axes, t2.axes
+def _pair_layout(a1, a2) -> tuple:
+    """The axes of the contraction of tensors over ``a1`` and ``a2`` (the
+    free ones of each in turn) and the offset layout that ``_products`` reads."""
     in1, in2 = set(a1), set(a2)
     shared = [a for a in a1 if a in in2]
     f1 = [a for a in a1 if a not in in2]
     f2 = [a for a in a2 if a not in in1]
-    layout = (_offsets(a1, f1), _offsets(a2, f2), _offsets(a1, shared), _offsets(a2, shared))
-    return ring.contract(t1, t2, f1 + f2, layout)
+    return f1 + f2, (_offsets(a1, f1), _offsets(a2, f2), _offsets(a1, shared),
+                     _offsets(a2, shared))
+
+
+def _contract_pair(t1: _Tensor, t2: _Tensor, ring) -> _Tensor:
+    """Sum over the shared axes, in either ring (``ring.contract``)."""
+    return ring.contract(t1, t2, *_pair_layout(t1.axes, t2.axes))
 
 
 def _products(d1, d2, b1, b2, sh1, sh2, zero) -> list:
@@ -573,12 +586,11 @@ def _lift_matrix(m: SemanticMatrix, M: int) -> SemanticMatrix:
 # interpretation
 # ---------------------------------------------------------------------------
 
-def _matrix(t: _Tensor, ring, inputs: list[str], outputs: list[str]) -> SemanticMatrix:
-    """The matrix of ``t``: rows over the output axes and columns over the
-    input axes (the first of each most significant)."""
-    cols = _offsets(t.axes, inputs)
-    flat = [t.data[r + c] for r in _offsets(t.axes, outputs) for c in cols]
-    return ring.matrix(t.den, flat, t.fields, len(inputs), len(outputs))
+def _matrix(t: _Tensor, ring, rows: tuple, cols: tuple) -> SemanticMatrix:
+    """The matrix whose entry (r, c) is ``t``'s at offset rows[r] + cols[c]."""
+    flat = [t.data[r + c] for r in rows for c in cols]
+    return ring.matrix(t.den, flat, t.fields, len(cols).bit_length() - 1,
+                       len(rows).bit_length() - 1)
 
 
 def node_tensor(kind: NodeKind, n_in: int, n_out: int, backend: str = EXACT,
@@ -589,11 +601,10 @@ def node_tensor(kind: NodeKind, n_in: int, n_out: int, backend: str = EXACT,
     if backend == EXACT and modulus is None:
         modulus = math.lcm(8, 2 * kind.phase.den) if phase_is_exact(kind.phase) else 8
     ring = _exact_ring(modulus) if backend == EXACT else _FLOAT_RING
-    # legs ordered inputs then outputs; symmetric tensors make the order moot
-    inputs = [f"i{k}" for k in range(n_in)]
-    outputs = [f"o{k}" for k in range(n_out)]
-    return _matrix(_Tensor(inputs + outputs, *_leaf_tensor(kind, n_in + n_out, ring)), ring,
-                   inputs, outputs)
+    # legs ordered inputs then outputs (symmetric tensors make the order moot),
+    # so the output bits are the low ones
+    return _matrix(_Tensor(None, *_leaf_tensor(kind, n_in + n_out, ring)), ring,
+                   range(1 << n_out), range(0, 1 << (n_in + n_out), 1 << n_out))
 
 
 def _tensor_axes(d: Diagram, max_rank: int) -> list[tuple[NodeKind, list[str]]]:
@@ -636,9 +647,47 @@ def _tensor_axes(d: Diagram, max_rank: int) -> list[tuple[NodeKind, list[str]]]:
     return leaves + wires
 
 
+# (leaf axes, inputs, outputs, max_rank) -> (steps (i, j, layout), peak rank,
+# output and input offsets in the result or None unless its axes are the ports)
+_PROGRAM_CACHE: dict[tuple, tuple] = {}
+
+
+def _program(d: Diagram, axes_list: list, max_rank: int) -> tuple:
+    """The program of leaves over ``axes_list`` with ``d``'s ports."""
+    n = len(axes_list)
+    if n > 2:  # tuple() of lists: a tuple grown from a guess fills CPython's free lists
+        key = (tuple([tuple(a) for a in axes_list]), tuple(d.inputs), tuple(d.outputs), max_rank)
+        if (prog := _PROGRAM_CACHE.get(key)) is not None:
+            return prog
+    plan = _plan_greedy(axes_list, max_rank)
+    if n == 2:  # one step, rebuilt per call: lists will do
+        final, layout = _pair_layout(*axes_list)
+        steps = [(0, 1, layout)]
+    else:  # no step, or ones to store: one tuple per distinct offset list and layout
+        pool, shared, steps = dict(enumerate(axes_list)), {}, []
+        for new, (i, j) in enumerate(plan.steps, n):
+            pool[new], layout = _pair_layout(pool.pop(i), pool.pop(j))
+            layout = tuple([shared.setdefault(t, t) for t in map(tuple, layout)])
+            steps.append((i, j, shared.setdefault(layout, layout)))
+        final = pool.popitem()[1] if pool else ()
+    inputs, outputs = [f"p:{p}" for p in d.inputs], [f"p:{p}" for p in d.outputs]
+    order = ((_offsets(final, outputs), _offsets(final, inputs))
+             if sorted(inputs + outputs) == sorted(final) else None)
+    if not 2 < n <= PROGRAM_CACHE_LEAVES:
+        return steps, plan.peak_rank, order
+    # drop the oldest; list() and pop() hold when threads share the memo
+    while sum(len(k[0]) for k in list(_PROGRAM_CACHE)) + n > PROGRAM_CACHE_LEAVES:
+        _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE), None), None)
+    # axis names shared by all programs
+    key = (tuple([tuple([sys.intern(a) for a in axes]) for axes in key[0]]),) + key[1:]
+    _PROGRAM_CACHE[key] = prog = tuple(steps), plan.peak_rank, order and tuple(map(tuple, order))
+    return prog
+
+
 def plan_contraction(d: Diagram, max_rank: int = DEFAULT_MAX_RANK) -> ContractionPlan:
     """The contraction order and peak rank that ``interpret`` follows for ``d``."""
-    return _plan_greedy([axes for _, axes in _tensor_axes(d, max_rank)], max_rank)
+    steps, peak, _ = _program(d, [axes for _, axes in _tensor_axes(d, max_rank)], max_rank)
+    return ContractionPlan([(i, j) for i, j, _ in steps], peak)
 
 
 def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK) -> SemanticMatrix:
@@ -646,20 +695,15 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
     ensure_valid(d)
     ring = _ring_for(d, backend)
     leaves = _tensor_axes(d, max_rank)
-    plan = _plan_greedy([axes for _, axes in leaves], max_rank)
-
+    steps, _, order = _program(d, [axes for _, axes in leaves], max_rank)
     pool = {i: _Tensor(axes, *_leaf_tensor(kind, len(axes), ring))
             for i, (kind, axes) in enumerate(leaves)}
-    for new, (i, j) in enumerate(plan.steps, len(leaves)):
-        pool[new] = _contract_pair(pool.pop(i), pool.pop(j), ring)
+    for new, (i, j, layout) in enumerate(steps, len(leaves)):
+        pool[new] = ring.contract(pool.pop(i), pool.pop(j), None, layout)
     final = pool.popitem()[1] if pool else _Tensor([], *ring.pack(1, [ring.one]))
-
-    # order open axes: inputs then outputs, then reshape to a matrix
-    inputs = [f"p:{p}" for p in d.inputs]
-    outputs = [f"p:{p}" for p in d.outputs]
-    if sorted(inputs + outputs) != sorted(final.axes):
+    if order is None:
         raise AssertionError("open axes do not match boundary ports")
-    return _matrix(final, ring, inputs, outputs)
+    return _matrix(final, ring, *order)
 
 
 # ---------------------------------------------------------------------------

@@ -343,3 +343,69 @@ def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "zxexact.cli", "rule", "list"],
                           capture_output=True, text=True)
     assert proc.returncode == 0 and "S1" in proc.stdout
+
+
+
+# -- flags in any position ------------------------------------------------------
+
+K2_CHECK = ["rule", "check", "K2", "--bind", "alpha=3"]
+# plans within rank 16, not within rank 5
+S1_WIDE = ["rule", "check", "S1", "--bind", "alpha=1/4", "--bind", "beta=3/4",
+           "--bind", "a_in=3", "--bind", "b_out=3"]
+
+
+def _outcome(capsys, argv: list[str]) -> tuple:
+    code = run(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("flag, codes", [
+    (["--json"], (0, 0, 0)),
+    # the float-angle SUP_3 is unsound only below float rounding
+    (["--tolerance", "1e-300"], (0, 1, 0)),
+    (["--tol=1e-300"], (0, 1, 0)),
+    (["--max-rank", "5"], (0, 0, 1)),
+    (["--max-rank", "2"], (2, 2, 2)),
+])
+def test_common_flag_means_the_same_before_and_after_the_subcommand(capsys, flag, codes):
+    for command, code in zip((K2_CHECK, SUP3_AT_FLOAT_ANGLE, S1_WIDE), codes):
+        after = _outcome(capsys, command + flag)
+        assert after[0] == code
+        assert _outcome(capsys, flag + command) == after
+        assert _outcome(capsys, command[:1] + flag + command[1:]) == after
+    if flag == ["--json"]:
+        assert json.loads(after[1])["status"] == "sound"
+
+
+def test_rule_check_takes_options_before_the_rule_name(capsys):
+    want = _outcome(capsys, K2_CHECK + ["--json"])
+    assert want[0] == 0 and json.loads(want[1])["instance"] == "K2[alpha=1/1]-"
+    for argv in (["rule", "check", "--json", "K2", "--bind", "alpha=3"],
+                 ["rule", "check", "--bind", "alpha=3", "--json", "K2"],
+                 ["--json", "rule", "check", "K2", "--bind", "alpha=3"]):
+        assert _outcome(capsys, argv) == want
+    assert _outcome(capsys, ["rule", "show", "--json", "SUP"])[0] == 0
+
+
+@pytest.mark.parametrize("value", ["\u0661\u0662", "1_2", "+3", "3.0"])
+@pytest.mark.parametrize("argv", [
+    ["witness", "sqrt2", "--k", "{}"], ["witness", "sqrt2", "--k", "4,{}"],
+    ["witness", "supnec", "--p", "{}"], ["suite", "soundness", "--grid", "{}"],
+    ["suite", "invariants", "--max-arity", "{}"], ["suite", "soundness", "--random", "{}"],
+    ["suite", "soundness", "--seed", "{}"], ["rule", "list", "--max-rank", "{}"],
+    ["--max-rank", "{}", "rule", "list"],
+])
+def test_integer_flag_takes_only_ascii_digits(capsys, argv, value):
+    assert run([a.format(value) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --") and f"not an integer: {value!r}" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["ZXEXACT_SEED", "ZXEXACT_MAX_RANK"])
+@pytest.mark.parametrize("value", ["\u0661\u0662", "1_2", "+3"])
+def test_integer_env_var_takes_only_ascii_digits(monkeypatch, capsys, name, value):
+    monkeypatch.setenv(name, value)
+    assert run(["rule", "list"]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be an integer, got {value!r}\n"

@@ -105,11 +105,12 @@ def validate_embedding(host: Diagram, pattern: Diagram, emb: Embedding) -> Optio
             return f"phase mismatch at {x}->{hx}"
 
     # internal multiplicities, exactly
+    (pat_degree, pat_mult), (host_degree, host_mult) = pattern.edge_counts(), host.edge_counts()
     pat_nodes = sorted(pattern.nodes)
     for i, x in enumerate(pat_nodes):
         for y in pat_nodes[i:]:
-            pm = pattern.edge_multiplicity(x, y)
-            hm = host.edge_multiplicity(nm[x], nm[y])
+            pm = pat_mult.get(_norm_edge(x, y), 0)
+            hm = host_mult.get(_norm_edge(nm[x], nm[y]), 0)
             if pm > hm:
                 return f"multiplicity mismatch between {x} and {y}"
             if pm < hm:
@@ -152,7 +153,7 @@ def validate_embedding(host: Diagram, pattern: Diagram, emb: Embedding) -> Optio
 
     # degree accounting catches any uncounted host edge into the region
     for x, hx in nm.items():
-        if host.degree(hx) != pattern.degree(x):
+        if host_degree.get(hx, 0) != pat_degree.get(x, 0):
             return f"degree leak at {hx}"
     return None
 

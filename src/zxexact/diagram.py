@@ -160,12 +160,20 @@ class Diagram:
     def ports(self) -> set[str]:
         return set(self.inputs) | set(self.outputs)
 
+    def edge_counts(self) -> tuple[dict[str, int], dict[Edge, int]]:
+        """Each id's degree (a self-loop counts 2) and each edge's multiplicity."""
+        degree, mult = {}, {}
+        for e in self.edges:
+            mult[e] = mult.get(e, 0) + 1
+            for end in e:
+                degree[end] = degree.get(end, 0) + 1
+        return degree, mult
+
     def degree(self, node_id: str) -> int:
-        return sum((a == node_id) + (b == node_id) for a, b in self.edges)
+        return self.edge_counts()[0].get(node_id, 0)
 
     def edge_multiplicity(self, a: str, b: str) -> int:
-        e = _norm_edge(a, b)
-        return sum(1 for f in self.edges if f == e)
+        return self.edge_counts()[1].get(_norm_edge(a, b), 0)
 
     def copy(self) -> "Diagram":
         return Diagram(dict(self.nodes), list(self.edges), self.inputs, self.outputs)

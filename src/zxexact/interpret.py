@@ -18,8 +18,7 @@ Programs of three or more leaves are kept in one memo of at most
 (SUP_n over an angle grid, one circuit's exact and float runs) is planned
 once; a plan over the cap raises and is not kept.  One- and two-leaf
 programs, nearly every rule-sweep diagram, are rebuilt per call: storing
-them speeds the sweep up but raises its benchmark's peak memory, whose
-per-verdict latency store then grows, past its bound.
+them raises the sweep's peak memory past its benchmark bound.
 
 The float backend stores complex entries.  The exact backend has one
 kernel for every modulus M (divisible by 8).  zeta_M^(M/2) = -1, so Phi_M
@@ -38,9 +37,13 @@ cached.
 denominator and packed entries; it reduces an entry modulo Phi_M into a
 ``CycloScalar`` only when ``entries`` is first read, and at a power-of-two
 M that reduction does nothing.  ``matrix_compare`` decides two matrices of
-identical kernel form equal without making any scalar.  All backends share
-the axis bookkeeping and the inner loop of a contraction.  The modulus is
-capped at ``MAX_MODULUS``.
+identical kernel form equal without making any scalar.  A step consuming
+a Z leaf with legs is a Z step (``contract_z``): the leaf is non-zero only
+at all-zeros (1) and all-ones (u = e^(ia)), so the result holds the other
+operand's all-zeros shared slice and u times its all-ones one (their sum
+if the leaf has no free leg), u a shift in the exact ring.  X leaves stay
+dense; every other step runs the generic product loop (``contract``).  The
+modulus is capped at ``MAX_MODULUS``.
 """
 
 from __future__ import annotations
@@ -82,10 +85,10 @@ class ResourceLimitError(RuntimeError):
 # ``phase``, ``inv_sqrt2_pow`` and ``mul``) and stores tensors in its own
 # form: ``pack`` turns a leaf's denominator and scalars into the ``_Tensor``
 # fields after the axes (``den``, ``data`` and, for exact tensors, ``bits``
-# and ``fields``), ``contract`` runs the inner loop of a pairwise
-# contraction, and ``matrix`` makes the final ``SemanticMatrix``.  The float
-# ring stores plain complex numbers, the exact ring packed ints
-# (``cyclotomic.FieldLayout``).
+# and ``fields``), ``contract`` runs a pairwise contraction's inner loop,
+# ``contract_z`` a Z step's, and ``matrix`` makes the final
+# ``SemanticMatrix``.  The float ring stores plain complex numbers, the
+# exact ring packed ints (``cyclotomic.FieldLayout``).
 
 # Bounds of the module caches: the four benchmark workloads use at most 10
 # rings and about 2,000 leaf tensors.
@@ -138,7 +141,8 @@ class _ExactRing:
     2^shared products), less the factors of 2 divided out.  When a result's
     bound would pass its fields' limit, ``fit`` recomputes the operands'
     bounds exactly and, if that is not enough, re-encodes them in wider
-    fields, so no field ever spills into its neighbour."""
+    fields, so no field ever spills into its neighbour.  A Z step keeps the
+    other operand's bound, +1 if it sums two slices, less the 2s divided out."""
 
     one, zero = 1, 0
 
@@ -158,13 +162,17 @@ class _ExactRing:
             layout = self._layouts[width] = FieldLayout(self.modulus, width)
         return layout
 
-    def phase(self, phase: Phase) -> int:
+    def exponent(self, phase: Phase) -> int:
+        """The j in [0, M) with e^(i phase) = zeta_M^j."""
         if not isinstance(phase, PiRational):
             raise BackendError("exact backend requires exact phases")
-        M, n = self.modulus, self.modulus // 2
+        M = self.modulus
         if M % (2 * phase.den):
             raise ModulusError(f"modulus {M} not divisible by 2*{phase.den}")
-        j = phase.num * (M // (2 * phase.den)) % M
+        return phase.num * (M // (2 * phase.den)) % M
+
+    def phase(self, phase: Phase) -> int:
+        j, n = self.exponent(phase), self.modulus // 2
         return (1 << j * FIELD_WIDTH) if j < n else -(1 << (j - n) * FIELD_WIDTH)
 
     def inv_sqrt2_pow(self, k: int) -> tuple[int, int]:
@@ -202,6 +210,23 @@ class _ExactRing:
         den, strip = t1.fields.reduce_in_lowest_terms(data, t1.den * t2.den)
         return _Tensor(axes, den, data, t1.bits + t2.bits + extra - strip, t1.fields)
 
+    def contract_z(self, phase: Phase, z: "_Tensor", t: "_Tensor", axes, layout,
+                   z_first: bool) -> "_Tensor":
+        """``contract`` with a Z leaf ``z``: u = +-X^(j mod n) is a shift."""
+        base, hi, nz, rows = _z_view(layout, z_first)
+        if nz == 1 and t.bits + 1 > t.fields.limit:
+            t, = self.fit((t,), 1)
+        d, fields, j, n = t.data, t.fields, self.exponent(phase), self.modulus // 2
+        shift = j % n * fields.width
+        ones = [d[o + hi] << shift if j < n else -(d[o + hi] << shift) for o in base]
+        if nz == 1:
+            data = [d[o] + v for o, v in zip(base, ones)]
+        else:
+            data = [0] * (nz * len(base))
+            data[rows[0]], data[rows[1]] = [d[o] for o in base], ones
+        den, strip = fields.reduce_in_lowest_terms(data, t.den)
+        return _Tensor(axes, den, data, t.bits + (nz == 1) - strip, fields)
+
     @staticmethod
     def matrix(den: int, data: list, fields: FieldLayout, n_in: int, n_out: int):
         # already in lowest terms: at a power-of-two M this form is canonical
@@ -212,8 +237,7 @@ _RING_CACHE: dict[int, _ExactRing] = {}
 
 
 def _exact_ring(modulus: int) -> _ExactRing:
-    ring = _RING_CACHE.get(modulus)
-    if ring is None:
+    if (ring := _RING_CACHE.get(modulus)) is None:
         ring = _bounded_put(_RING_CACHE, modulus, _ExactRing(_capped(modulus)), RING_CACHE_SIZE)
     return ring
 
@@ -239,6 +263,22 @@ class _FloatRing:
     @staticmethod
     def contract(t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
         return _Tensor(axes, 1, _products(t1.data, t2.data, *layout, complex(0)))
+
+    @staticmethod
+    def contract_z(phase: Phase, z: "_Tensor", t: "_Tensor", axes, layout,
+                   z_first: bool) -> "_Tensor":
+        """``contract`` with a Z leaf ``z``: ``_products``' multiplies by its
+        ``one`` and u, zero skips and sums (complex products commute exactly)."""
+        base, hi, nz, rows = _z_view(layout, z_first)
+        one, u, d, zero = z.data[0], z.data[-1], t.data, complex(0)
+        lows = [v * one if (v := d[o]) else zero for o in base]
+        ones = [v * u if (v := d[o + hi]) else zero for o in base]
+        if nz == 1:  # ``zero`` itself marks a skipped product
+            return _Tensor(axes, 1, [b if a is zero else a if b is zero else a + b
+                                     for a, b in zip(lows, ones)])
+        data = [zero] * (nz * len(base))
+        data[rows[0]], data[rows[1]] = lows, ones
+        return _Tensor(axes, 1, data)
 
     @staticmethod
     def matrix(den: int, data: list, fields, n_in: int, n_out: int):
@@ -320,8 +360,7 @@ def _leaf_tensor(kind: NodeKind, degree: int, ring) -> tuple:
     if isinstance(kind.phase, float):  # a float angle rarely recurs: not cached
         return _spider_tensor_fresh(kind, degree, ring)
     key = (ring.modulus, kind.kind, kind.phase, degree)
-    packed = _TENSOR_CACHE.get(key)
-    if packed is None:
+    if (packed := _TENSOR_CACHE.get(key)) is None:
         packed = _bounded_put(_TENSOR_CACHE, key, _spider_tensor_fresh(kind, degree, ring),
                               TENSOR_CACHE_SIZE)
     return packed
@@ -352,6 +391,15 @@ def _pair_layout(a1, a2) -> tuple:
 def _contract_pair(t1: _Tensor, t2: _Tensor, ring) -> _Tensor:
     """Sum over the shared axes, in either ring (``ring.contract``)."""
     return ring.contract(t1, t2, *_pair_layout(t1.axes, t2.axes))
+
+
+def _z_view(layout, z_first: bool) -> tuple:
+    """A pair layout as a Z step reads it: the other operand's free offsets and
+    all-ones shared offset, and the Z leaf's free pattern count and slices."""
+    b1, b2, sh1, sh2 = layout
+    if z_first:
+        return b2, sh2[-1], len(b1), (slice(0, len(b2)), slice((len(b1) - 1) * len(b2), None))
+    return b1, sh1[-1], len(b2), (slice(0, None, len(b2)), slice(len(b2) - 1, None, len(b2)))
 
 
 def _products(d1, d2, b1, b2, sh1, sh2, zero) -> list:
@@ -698,8 +746,15 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
     steps, _, order = _program(d, [axes for _, axes in leaves], max_rank)
     pool = {i: _Tensor(axes, *_leaf_tensor(kind, len(axes), ring))
             for i, (kind, axes) in enumerate(leaves)}
-    for new, (i, j, layout) in enumerate(steps, len(leaves)):
-        pool[new] = ring.contract(pool.pop(i), pool.pop(j), None, layout)
+    n = len(leaves)
+    for new, (i, j, layout) in enumerate(steps, n):
+        t1, t2 = pool.pop(i), pool.pop(j)
+        if i < n and t1.axes and (kind := leaves[i][0]).kind == Z:
+            pool[new] = ring.contract_z(kind.phase, t1, t2, None, layout, True)
+        elif j < n and t2.axes and (kind := leaves[j][0]).kind == Z:
+            pool[new] = ring.contract_z(kind.phase, t2, t1, None, layout, False)
+        else:
+            pool[new] = ring.contract(t1, t2, None, layout)
     final = pool.popitem()[1] if pool else _Tensor([], *ring.pack(1, [ring.one]))
     if order is None:
         raise AssertionError("open axes do not match boundary ports")
@@ -711,13 +766,9 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
 # ---------------------------------------------------------------------------
 
 def _invariant(d: Diagram, colour: str) -> int:
-    count = 0
-    for n, kind in d.nodes.items():
-        if kind.kind == H:
-            count += 1
-        elif kind.kind == colour and d.degree(n) % 2 == 1:
-            count += 1
-    return count % 2
+    degree = d.edge_counts()[0]
+    return sum(kind.kind == H or (kind.kind == colour and degree.get(n, 0) % 2 == 1)
+               for n, kind in d.nodes.items()) % 2
 
 
 def invariant_r(d: Diagram) -> int:

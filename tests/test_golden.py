@@ -16,6 +16,8 @@ from importlib import resources
 import pytest
 
 from zxexact.cli import run
+from zxexact.diagram import PiRational, dump_diagram
+from zxexact.rules import instantiate
 
 
 def _data(name: str) -> str:
@@ -58,4 +60,30 @@ def test_json_report_bytes(argv, code, digest):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert run(argv + ["--json"]) == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# SUP_13's left side at alpha = pi/12 interprets at M = 312, where every
+# phase of its one-legged Z spiders is a monomial of a 156-field value;
+# colour-swapped, the same phases sit on X spiders and the 14-leg spider
+# is a chain of phase-0 Z pieces.  Recorded while every Z spider still
+# went through the generic product loop, so a Z step that alters any
+# report byte, exact or float, fails here.
+WIDE = [
+    (False, "exact", "ccd8cf14506497e36d58a1af0bb364f3ade592d77782f89aa77f69cc8dfe74a1"),
+    (False, "float", "68aa4d77d831fd4c74a1d6b6bffeef0a3204ddf2d4c344b54d03d4e294f934f5"),
+    (True, "exact", "f9f5c707e1278b413c2fd98a30d6f0c3ec95a4e372d0de21223be384ed3515aa"),
+    (True, "float", "e3234a3719556bc0bdd41205b5a8b5c105b3983424651f8e367b588bbac10ffc"),
+]
+
+
+@pytest.mark.parametrize("swap, backend, digest", WIDE,
+                         ids=[f"{'swapped' if s else 'plain'}-{b}" for s, b, _ in WIDE])
+def test_wide_modulus_report_bytes(tmp_path, swap, backend, digest):
+    lhs = instantiate("SUPn", {"n": 13, "alpha": PiRational(1, 12)}, color_swap=swap).lhs
+    path = tmp_path / "sup13_lhs.zx"
+    dump_diagram(lhs, str(path))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["interpret", str(path), "--backend", backend, "--json"]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -481,3 +481,27 @@ def test_parallel_edges_fuse_through_multi_piece_chains(colour, edges, max_rank)
         complex(1), cmath.exp(1j * phase.radians), complex(2 ** -0.5)))
     m = interpret(d, backend="float", max_rank=max_rank)
     assert all(abs(m.entry(r, c) - float_form(r, c)) < 1e-9 for r in range(2) for c in range(2))
+
+
+# -- graphical invariants ------------------------------------------------------
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_invariants_match_a_brute_force_degree_count(seed, loops):
+    rng = random.Random(seed)
+    d = random_diagram(rng, max_nodes=8, max_ports=4)
+    spiders = [n for n, k in d.nodes.items() if k.kind != "H"]
+    for _ in range(loops if spiders else 0):
+        n = rng.choice(spiders)
+        d.add_edge(n, n)
+
+    def degree(n):  # a self-loop meets its node at both ends
+        return sum((a == n) + (b == n) for a, b in d.edges)
+
+    for colour, invariant in ((X, invariant_r), (Z, invariant_g)):
+        odd = [n for n, k in d.nodes.items() if k.kind == colour and degree(n) % 2]
+        h_boxes = [n for n, k in d.nodes.items() if k.kind == "H"]
+        assert invariant(d) == (len(odd) + len(h_boxes)) % 2
+    deg, mult = d.edge_counts()
+    assert all(deg.get(n, 0) == degree(n) for n in d.all_ids())
+    assert all(mult[e] == d.edges.count(e) for e in d.edges)

@@ -1,0 +1,140 @@
+"""The Z step (``contract_z``) against the generic pairwise contraction
+(``_contract_pair``), its oracle: the same ring element over the same
+denominator in the exact ring, with a bound that holds; the same bits, signed
+zeros included, in the float ring.  Pairs are drawn at M = 8, 24 and 312,
+with the Z leaf on either side, 0 to 2 free legs, with or without shared
+axes, and exact operands in 32- or 64-bit fields; whole diagrams with
+port-to-port wires and chain-cut spiders are run both ways."""
+
+import importlib
+import random
+import struct
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zxexact.cyclotomic import _norm_bits
+from zxexact.diagram import (
+    X, Z, NodeKind, PiRational, make_generator, make_spider, sequential_compose, tensor_product,
+)
+from zxexact.interpret import ResourceLimitError, interpret
+from zxexact.rules import instantiate
+
+from helpers import random_diagram
+
+interp = importlib.import_module("zxexact.interpret")
+
+MODULI = (8, 24, 312)
+# sparse values whose norms often sit on a power of two, so a bound one too
+# small shows; all-even ones let a result strip a factor of 2
+COEFFS = (1, -1, 3, -2, 2 ** 29, -(2 ** 30))
+FLOATS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 1e-300, 3.0e300)
+
+def _pair(data, M: int):
+    """A Z leaf of a phase zeta_M^j and the axes of it and of another operand."""
+    n_shared = data.draw(st.integers(0, 4), label="shared legs")
+    n_free = data.draw(st.integers(0 if n_shared else 1, 2), label="free Z legs")
+    n_other = data.draw(st.integers(0, 3), label="free legs of the other operand")
+    shared = [f"s{k}" for k in range(n_shared)]
+    z_axes = data.draw(st.permutations(shared + [f"z{k}" for k in range(n_free)]))
+    other_axes = data.draw(st.permutations(shared + [f"o{k}" for k in range(n_other)]))
+    j = data.draw(st.sampled_from((0, M // 2)) | st.integers(0, M - 1), label="j")
+    return PiRational(2 * j, M), z_axes, other_axes, data.draw(st.booleans(), label="z first")
+
+
+def _both_ways(ring, phase, z, other, z_first):
+    """(generic result, Z-step result) of the pair in the drawn order."""
+    t1, t2 = (z, other) if z_first else (other, z)
+    axes, layout = interp._pair_layout(t1.axes, t2.axes)
+    generic = interp._contract_pair(t1, t2, ring)
+    return generic, ring.contract_z(phase, z, other, axes, layout, z_first)
+
+
+@given(st.sampled_from(MODULI), st.data())
+@settings(max_examples=300, deadline=None)
+def test_exact_z_step_is_the_generic_contraction(M, data):
+    ring = interp._exact_ring(M)
+    phase, z_axes, other_axes, z_first = _pair(data, M)
+    z = interp._Tensor(z_axes, *interp._leaf_tensor(NodeKind(Z, phase), len(z_axes), ring))
+    n = M // 2
+    sparse = st.dictionaries(st.integers(0, n - 1), st.sampled_from(COEFFS), max_size=3)
+    coeffs = [[terms.get(k, 0) for k in range(n)] for terms in data.draw(
+        st.lists(sparse, min_size=1 << len(other_axes), max_size=1 << len(other_axes)))]
+    bits = max(map(_norm_bits, coeffs))
+    wide = data.draw(st.booleans(), label="64-bit fields")
+    fields = ring.fields(max(bits, 32) if wide else bits)
+    den = data.draw(st.sampled_from((1, 2, 8)), label="den")
+    other = interp._Tensor(other_axes, den, [fields.encode(c) for c in coeffs], bits, fields)
+    generic, fast = _both_ways(ring, phase, z, other, z_first)
+    assert fast.axes == generic.axes and fast.den == generic.den
+    assert ([fast.fields.decode(v) for v in fast.data]
+            == [generic.fields.decode(v) for v in generic.data])
+    if fast.fields is generic.fields:
+        assert fast.data == generic.data
+    # an all-zero result may strip its bound below 0
+    norms = [sum(map(abs, fast.fields.decode(v))) for v in fast.data]
+    assert max(norms) <= 2 ** fast.bits and fast.bits <= fast.fields.limit
+
+
+def _float_bytes(values) -> list[bytes]:
+    return [struct.pack("<dd", v.real, v.imag) for v in values]
+
+
+@given(st.sampled_from(MODULI), st.data())
+@settings(max_examples=300, deadline=None)
+def test_float_z_step_is_the_generic_contraction_bit_for_bit(M, data):
+    phase, z_axes, other_axes, z_first = _pair(data, M)
+    ring = interp._FLOAT_RING
+    z = interp._Tensor(z_axes, *interp._leaf_tensor(NodeKind(Z, phase), len(z_axes), ring))
+    parts = st.sampled_from(FLOATS) | st.floats(-4, 4)
+    values = data.draw(st.lists(st.builds(complex, parts, parts),
+                                min_size=1 << len(other_axes), max_size=1 << len(other_axes)))
+    generic, fast = _both_ways(ring, phase, z, interp._Tensor(other_axes, 1, values), z_first)
+    assert fast.axes == generic.axes
+    assert _float_bytes(fast.data) == _float_bytes(generic.data)
+
+
+def _generic_only(ring):
+    """Patch ``ring`` so that every Z step runs the generic loop instead."""
+    def contract_z(phase, z, t, axes, layout, z_first):
+        t1, t2 = (z, t) if z_first else (t, z)
+        return ring.contract(t1, t2, axes, layout)
+    return mock.patch.object(ring, "contract_z", contract_z)
+
+
+def _assert_z_steps_change_nothing(d, max_rank: int = 16) -> None:
+    exact, flt = interpret(d, max_rank=max_rank), interpret(d, "float", max_rank=max_rank)
+    with _generic_only(interp._exact_ring(exact.modulus)), _generic_only(interp._FLOAT_RING):
+        exact_generic = interpret(d, max_rank=max_rank)
+        flt_generic = interpret(d, "float", max_rank=max_rank)
+    assert exact.entries == exact_generic.entries
+    assert ([_float_bytes(row) for row in flt.entries]
+            == [_float_bytes(row) for row in flt_generic.entries])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((4, 12, 156)), st.sampled_from((Z, X)),
+       st.integers(0, 6), st.integers(1, 6), st.sampled_from((4, 6, 16)))
+@settings(max_examples=80, deadline=None)
+def test_interpret_with_z_steps_matches_the_generic_loop(seed, den, colour, n_in, n_out,
+                                                          max_rank):
+    # a spider of more legs than max(3, min(8, max_rank)) is cut into a chain
+    # whose later pieces have phase 0; the identity beside the composite is a
+    # port-to-port wire
+    rng = random.Random(seed)
+    spider = make_spider(colour, PiRational(rng.randrange(2 * den), den), n_in, n_out)
+    later = random_diagram(rng, max_nodes=5, den=den, n_inputs=n_out, max_ports=6)
+    d = tensor_product(sequential_compose(later, spider), make_generator("identity"))
+    try:
+        _assert_z_steps_change_nothing(d, max_rank)
+    except ResourceLimitError:
+        pass
+
+
+@pytest.mark.parametrize("n", [5, 9, 13])
+def test_chain_cut_z_pieces_match_the_generic_loop(n):
+    # colour-swapped, SUP_n's (n + 1)-leg X spider is a Z spider cut into
+    # phase-0 pieces of 8 legs, each met by one-legged X spiders
+    alpha = PiRational(1, 12)
+    _assert_z_steps_change_nothing(instantiate("SUPn", {"n": n, "alpha": alpha}, True).lhs)

@@ -18,11 +18,11 @@ from .cyclotomic import (
 from .interpret import (
     BackendError, CompareResult, ContractionPlan, ResourceLimitError,
     SemanticMatrix, choose_modulus, interpret, invariant_g, invariant_r,
-    is_zero, matrix_compare, node_tensor, plan_contraction,
+    backend_for, is_zero, matrix_compare, node_tensor, plan_contraction,
 )
 from .rules import (
     DERIVED_IMPORTED, RULESETS, RuleError, RuleInstance, RuleSchema,
-    catalogue, check_soundness, get_schema, instantiate,
+    catalogue, check_equation, check_soundness, get_schema, instantiate,
     invariant_preservation_check, ruleset_schemas, soundness_suite,
 )
 from .derive import (

@@ -6,7 +6,7 @@ and a tolerance that is not a finite positive number among them).  All
 JSON reports carry a top-level "schema": "1" field and are
 byte-deterministic for fixed inputs and seed.
 
-Environment overrides: ZXEXACT_TOLERANCE, ZXEXACT_MAX_RANK, ZXEXACT_SEED.
+Environment overrides, read only by ``run``: ZXEXACT_TOLERANCE, ZXEXACT_MAX_RANK, ZXEXACT_SEED.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import sys
 from .diagram import DiagramError, load_diagram
 from .derive import check_derivation, load_script
 from .interpret import (
-    DEFAULT_MAX_RANK, DEFAULT_TOLERANCE, EXACT, FLOAT, ResourceLimitError, interpret,
-    invariant_g, invariant_r,
+    DEFAULT_MAX_RANK, DEFAULT_TOLERANCE, EXACT, FLOAT, ResourceLimitError, backend_for,
+    interpret, invariant_g, invariant_r,
 )
 from .rules import (
     RULESETS, RuleError, catalogue, check_soundness, get_schema, instantiate,
@@ -140,7 +140,7 @@ def _cmd_rule(args) -> int:
     bindings = dict(_parse_binding(b) for b in args.bind or [])
     swap, flip = _parse_variant(args.variant)
     inst = instantiate(schema, bindings, swap, flip)
-    backend = EXACT if args.backend == "exact" and inst.lhs.is_exact() and inst.rhs.is_exact() else FLOAT
+    backend = backend_for(inst.lhs, inst.rhs) if args.backend == EXACT else FLOAT
     res = check_soundness(inst, backend=backend, tol=args.tolerance, max_rank=args.max_rank)
     status = "sound" if res.sound else "unsound"
     payload = {"schema": "1", "instance": inst.key(), "backend": backend,
@@ -259,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-arity", type=_integer, default=3)
     p.add_argument("--grid", type=_integer, default=4, metavar="K", help="pi/K angle grid")
     p.add_argument("--random", type=_integer, default=0)
-    p.add_argument("--seed", type=_integer, default=_env("ZXEXACT_SEED", _integer, 0))
+    p.add_argument("--seed", type=_integer, default=argparse.SUPPRESS)  # ``run`` passes it
     p.set_defaults(func=_cmd_suite)
 
     p = add_parser("derive", help="check a derivation script")
@@ -279,16 +279,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    try:
+    try:  # the environment is read here and only here
         defaults = argparse.Namespace(
             json=False, tolerance=_env("ZXEXACT_TOLERANCE", float, DEFAULT_TOLERANCE),
-            max_rank=_env("ZXEXACT_MAX_RANK", _integer, DEFAULT_MAX_RANK))
-        parser = _build_parser()
+            max_rank=_env("ZXEXACT_MAX_RANK", _integer, DEFAULT_MAX_RANK),
+            seed=_env("ZXEXACT_SEED", _integer, 0))
     except ValueError as exc:  # a malformed environment variable
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     try:
-        args = parser.parse_args(argv, defaults)
+        args = _build_parser().parse_args(argv, defaults)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):

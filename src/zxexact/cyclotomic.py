@@ -23,6 +23,7 @@ Python int, so a product is one bigint multiply and its reduction a mask,
 a shift and a subtraction.  Only ``FieldLayout.scalar`` reduces modulo
 Phi_M, when a final entry becomes a ``CycloScalar``; at a power-of-two M
 that reduction does nothing.  The caches keyed by a modulus are bounded.
+``root_exponent`` alone computes the exponent j of e^(i pi k/d) = zeta_M^j.
 """
 
 from __future__ import annotations
@@ -410,14 +411,20 @@ def lift_modulus(a: CycloScalar, M2: int) -> CycloScalar:
     return CycloScalar._make(M2, _reduce(M2, buf), a.den)
 
 
+def root_exponent(num: int, den: int, M: int) -> int:
+    """The j in [0, M) with exp(i*pi*num/den) = zeta_M^j, j = num*M/(2*den)
+    mod M; raises ``ModulusError`` unless 2*den divides M."""
+    if M % (2 * den):
+        raise ModulusError(f"modulus {M} not divisible by 2*{den}")
+    return num * (M // (2 * den)) % M
+
+
 def root_of_unity(num: int, den: int, M: int) -> CycloScalar:
-    """The element zeta_M^(num*M/(2*den)) representing exp(i*pi*num/den)."""
+    """exp(i*pi*num/den) as zeta_M^j, j from ``root_exponent``."""
     if den <= 0:
         raise ValueError("denominator must be positive")
     _check_modulus(M)
-    if M % (2 * den) != 0:
-        raise ModulusError(f"modulus {M} not divisible by 2*{den}")
-    return CycloScalar.zeta_power(M, num * (M // (2 * den)))
+    return CycloScalar.zeta_power(M, root_exponent(num, den, M))
 
 
 def sqrt_two(M: int) -> CycloScalar:

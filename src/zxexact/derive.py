@@ -4,9 +4,9 @@ invariant ledger, and cyclotomic-twin merging.
 There is no subgraph matching here by design: a script supplies, for every
 step, the exact node map and the host half-edges its boundary attaches to,
 so checking is linear and verdicts are reproducible.  Derived-imported rules
-(Hopf law, the scalar lemmas, generalised bialgebra, twin merges) are
-semantically re-verified at every application; the axioms of the declared
-rule set are trusted as axioms.
+(``rules.DERIVED_IMPORTED``) and twin merges are re-verified at every
+application by ``rules.check_equation``, on the backend that
+``interpret.backend_for`` picks; the declared rule set's axioms are trusted.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from .diagram import (
     phase_from_json, phase_is_exact, phase_to_json, scale_phase, validate_diagram,
 )
 from .interpret import (
-    DEFAULT_MAX_RANK, DEFAULT_TOLERANCE, EXACT, FLOAT, ResourceLimitError, interpret,
+    DEFAULT_MAX_RANK, DEFAULT_TOLERANCE, ResourceLimitError, backend_for, interpret,
     invariant_r, matrix_compare,
 )
 from .rules import (
-    DERIVED_IMPORTED, RULESETS, RuleError, check_soundness, get_schema, instantiate,
+    DERIVED_IMPORTED, RULESETS, RuleError, check_equation, check_soundness, instantiate,
 )
 
 TWINS_RULE = "TWINS"
@@ -271,12 +271,9 @@ def twin_local_equivalence(host: Diagram, twin_ids: list[str], n: int,
     applies when a neighbour's float phase puts it on the float backend."""
     merged = merge_twins(host, twin_ids, n)  # validates preconditions
     twin_set = set(twin_ids)
-    neigh: set[str] = set()
-    for a, b in host.edges:
-        if a in twin_set and b not in twin_set:
-            neigh.add(b)
-        if b in twin_set and a not in twin_set:
-            neigh.add(a)
+    # the far end of every edge with exactly one end on a twin
+    neigh = {b if a in twin_set else a for a, b in host.edges
+             if (a in twin_set) != (b in twin_set)}
     if not neigh.issubset(host.nodes.keys()):
         # ports in the neighbourhood only pass the precondition when n == 1
         return True
@@ -287,7 +284,7 @@ def twin_local_equivalence(host: Diagram, twin_ids: list[str], n: int,
         for v in keep:
             d.nodes[v] = diagram.nodes[v]
         ports = []
-        for i, (a, b) in enumerate(diagram.edges):
+        for a, b in diagram.edges:
             a_in, b_in = a in keep, b in keep
             if a_in and b_in:
                 d.add_edge(a, b)
@@ -303,10 +300,7 @@ def twin_local_equivalence(host: Diagram, twin_ids: list[str], n: int,
     lhs = local(host, twin_set)
     merged_id = next(v for v in merged.nodes if v not in host.nodes)
     rhs = local(merged, {merged_id})
-    backend = EXACT if lhs.is_exact() and rhs.is_exact() else FLOAT
-    ml = interpret(lhs, backend=backend, max_rank=max_rank)
-    mr = interpret(rhs, backend=backend, max_rank=max_rank)
-    return matrix_compare(ml, mr, tol=tol).equal
+    return check_equation(lhs, rhs, backend_for(lhs, rhs), tol, max_rank).equal
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +452,10 @@ def apply_step(host: Diagram, step: DerivationStep, step_index: int = 0,
         if not twin_local_equivalence(host, ids, n, max_rank=max_rank, tol=tol):
             raise TwinError("twin merge failed its semantic re-verification")
         return merge_twins(host, ids, n)
-    schema = get_schema(step.rule)
-    inst = instantiate(schema, step.bindings, step.color_swap, step.vertical_flip)
-    if schema.origin == "derived-imported":
-        backend = EXACT if inst.lhs.is_exact() and inst.rhs.is_exact() else FLOAT
-        if not check_soundness(inst, backend=backend, tol=tol, max_rank=max_rank).sound:
-            raise RuleError(f"derived rule {step.rule} failed its semantic re-verification")
+    inst = instantiate(step.rule, step.bindings, step.color_swap, step.vertical_flip)
+    if step.rule in DERIVED_IMPORTED and not check_soundness(
+            inst, backend_for(inst.lhs, inst.rhs), tol, max_rank):
+        raise RuleError(f"derived rule {step.rule} failed its semantic re-verification")
     if step.direction == "ltr":
         pattern, replacement = inst.lhs, inst.rhs
     elif step.direction == "rtl":
@@ -529,8 +521,7 @@ def check_derivation(script: DerivationScript, paranoid: bool = False,
 
 
 def _try_interpret(d: Diagram, max_rank: int):
-    backend = EXACT if d.is_exact() else FLOAT
     try:
-        return interpret(d, backend=backend, max_rank=max_rank), None
+        return interpret(d, backend=backend_for(d), max_rank=max_rank), None
     except ResourceLimitError as exc:
         return None, str(exc)

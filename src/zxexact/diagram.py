@@ -499,10 +499,9 @@ def diagram_from_json(obj: object) -> Diagram:
     d.outputs = tuple(_json(obj.get("outputs", []), list, "outputs", str))
     for entry in _json(obj.get("nodes", []), list, "nodes", dict):
         node_id = _json(entry.get("id"), str, "a node id")
-        if entry.get("kind") == H:
-            d.nodes[node_id] = hbox()
-        else:
-            d.nodes[node_id] = NodeKind(entry.get("kind"), phase_from_json(entry.get("phase", "0")))
+        kind, phase = entry.get("kind"), entry.get("phase", "0")
+        bare_h = kind == H and "phase" not in entry  # ``NodeKind`` refuses an H box's phase
+        d.nodes[node_id] = NodeKind(kind, None if bare_h else phase_from_json(phase))
     for pair in _json(obj.get("edges", []), list, "edges", list):
         if len(pair) != 2 or not all(isinstance(end, str) for end in pair):
             raise DiagramError(f"an edge must be two ids, got {pair!r}")

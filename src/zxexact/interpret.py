@@ -43,7 +43,8 @@ at all-zeros (1) and all-ones (u = e^(ia)), so the result holds the other
 operand's all-zeros shared slice and u times its all-ones one (their sum
 if the leaf has no free leg), u a shift in the exact ring.  X leaves stay
 dense; every other step runs the generic product loop (``contract``).  The
-modulus is capped at ``MAX_MODULUS``.
+modulus is capped at ``MAX_MODULUS``.  ``backend_for`` is the one exactness
+policy: EXACT when every phase is exact, FLOAT otherwise.
 """
 
 from __future__ import annotations
@@ -56,9 +57,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .cyclotomic import (
-    CycloScalar, FieldLayout, ModulusError, _check_modulus, lift_modulus,
-)
+from .cyclotomic import CycloScalar, FieldLayout, _check_modulus, lift_modulus, root_exponent
 from .diagram import (
     Diagram, NodeKind, Phase, PiRational, H, X, Z,
     ensure_valid, phase_is_exact, phase_radians, zspider,
@@ -166,10 +165,7 @@ class _ExactRing:
         """The j in [0, M) with e^(i phase) = zeta_M^j."""
         if not isinstance(phase, PiRational):
             raise BackendError("exact backend requires exact phases")
-        M = self.modulus
-        if M % (2 * phase.den):
-            raise ModulusError(f"modulus {M} not divisible by 2*{phase.den}")
-        return phase.num * (M // (2 * phase.den)) % M
+        return root_exponent(phase.num, phase.den, self.modulus)
 
     def phase(self, phase: Phase) -> int:
         j, n = self.exponent(phase), self.modulus // 2
@@ -299,6 +295,11 @@ def choose_modulus(d: Diagram) -> int:
 
 
 _FLOAT_RING = _FloatRing()
+
+
+def backend_for(*diagrams: Diagram) -> str:
+    """EXACT when every phase of every diagram is exact, FLOAT otherwise."""
+    return EXACT if all(d.is_exact() for d in diagrams) else FLOAT
 
 
 def _ring_for(d: Diagram, backend: str):
@@ -673,8 +674,6 @@ def _tensor_axes(d: Diagram, max_rank: int) -> list[tuple[NodeKind, list[str]]]:
     for k, (a, b) in enumerate(d.edges):
         a_port, b_port = a in ports, b in ports
         if a_port and b_port:
-            if a == b:
-                raise BackendError("a boundary port cannot loop onto itself")
             wires.append((zspider(), [f"p:{a}", f"p:{b}"]))
         elif a_port:
             node_axes[b].append(f"p:{a}")
@@ -696,7 +695,7 @@ def _tensor_axes(d: Diagram, max_rank: int) -> list[tuple[NodeKind, list[str]]]:
 
 
 # (leaf axes, inputs, outputs, max_rank) -> (steps (i, j, layout), peak rank,
-# output and input offsets in the result or None unless its axes are the ports)
+# output and input offsets in the result)
 _PROGRAM_CACHE: dict[tuple, tuple] = {}
 
 
@@ -718,9 +717,9 @@ def _program(d: Diagram, axes_list: list, max_rank: int) -> tuple:
             layout = tuple([shared.setdefault(t, t) for t in map(tuple, layout)])
             steps.append((i, j, shared.setdefault(layout, layout)))
         final = pool.popitem()[1] if pool else ()
-    inputs, outputs = [f"p:{p}" for p in d.inputs], [f"p:{p}" for p in d.outputs]
-    order = ((_offsets(final, outputs), _offsets(final, inputs))
-             if sorted(inputs + outputs) == sorted(final) else None)
+    # a valid diagram's ports are exactly the open axes, each once
+    order = (_offsets(final, [f"p:{p}" for p in d.outputs]),
+             _offsets(final, [f"p:{p}" for p in d.inputs]))
     if not 2 < n <= PROGRAM_CACHE_LEAVES:
         return steps, plan.peak_rank, order
     # drop the oldest; list() and pop() hold when threads share the memo
@@ -728,12 +727,14 @@ def _program(d: Diagram, axes_list: list, max_rank: int) -> tuple:
         _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE), None), None)
     # axis names shared by all programs
     key = (tuple([tuple([sys.intern(a) for a in axes]) for axes in key[0]]),) + key[1:]
-    _PROGRAM_CACHE[key] = prog = tuple(steps), plan.peak_rank, order and tuple(map(tuple, order))
+    _PROGRAM_CACHE[key] = prog = tuple(steps), plan.peak_rank, tuple(map(tuple, order))
     return prog
 
 
 def plan_contraction(d: Diagram, max_rank: int = DEFAULT_MAX_RANK) -> ContractionPlan:
-    """The contraction order and peak rank that ``interpret`` follows for ``d``."""
+    """The contraction order and peak rank that ``interpret`` follows for ``d``;
+    raises ``DiagramError`` for a malformed ``d``, as ``interpret`` does."""
+    ensure_valid(d)
     steps, peak, _ = _program(d, [axes for _, axes in _tensor_axes(d, max_rank)], max_rank)
     return ContractionPlan([(i, j) for i, j, _ in steps], peak)
 
@@ -756,8 +757,6 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
         else:
             pool[new] = ring.contract(t1, t2, None, layout)
     final = pool.popitem()[1] if pool else _Tensor([], *ring.pack(1, [ring.one]))
-    if order is None:
-        raise AssertionError("open axes do not match boundary ports")
     return _matrix(final, ring, *order)
 
 
@@ -788,7 +787,8 @@ def invariant_g(d: Diagram) -> int:
 @dataclass
 class CompareResult:
     equal: bool
-    witness: Optional[tuple[int, int, str, str]] = None
+    witness: Optional[tuple[int, int, str, str]] = None  # the first differing entry
+    sound = property(lambda self: self.equal)  # the name rule checks read
 
     def __bool__(self) -> bool:
         return self.equal

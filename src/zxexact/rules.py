@@ -3,8 +3,9 @@
 Schemas are parametric in angles and leg counts; ``instantiate`` produces a
 concrete left/right diagram pair, optionally colour-swapped or flipped
 upside-down (every rule also holds in those variants).  Soundness of an
-instance is decided by comparing the two interpretations, exactly whenever
-all phases are exact.
+instance is decided by ``check_equation``, the one function that interprets
+two diagrams only to compare them; ``DERIVED_IMPORTED`` is read off the
+catalogue's ``origin`` field.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .diagram import (
     scale_phase, transform_variant, xspider, zspider,
 )
 from .interpret import (
-    DEFAULT_MAX_RANK, DEFAULT_TOLERANCE, EXACT, FLOAT, MAX_MODULUS, ResourceLimitError,
-    interpret, invariant_r, matrix_compare,
+    DEFAULT_MAX_RANK, DEFAULT_TOLERANCE, EXACT, FLOAT, MAX_MODULUS, CompareResult,
+    ResourceLimitError, interpret, invariant_r, matrix_compare,
 )
 
 
@@ -454,7 +455,8 @@ RULESETS: dict[str, tuple[str, ...]] = {
     "ZX_cyclo": ("S1", "S2", "S3", "E", "B1", "B2", "K2", "H", "EU", "SUPn"),
 }
 
-DERIVED_IMPORTED: tuple[str, ...] = ("HL", "L51", "L52", "GB")
+# the lemmas ``derive`` re-verifies at every use instead of trusting them
+DERIVED_IMPORTED = tuple(s.name for s in _SCHEMAS if s.origin == "derived-imported")
 
 
 def catalogue() -> list[RuleSchema]:
@@ -520,22 +522,18 @@ def instantiate(schema: RuleSchema | str, bindings: dict,
 # soundness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SoundnessResult:
-    sound: bool
-    witness: Optional[tuple[int, int, str, str]] = None
-
-    def __bool__(self) -> bool:
-        return self.sound
+def check_equation(lhs: Diagram, rhs: Diagram, backend: str = EXACT,
+                   tol: float = DEFAULT_TOLERANCE,
+                   max_rank: int = DEFAULT_MAX_RANK) -> CompareResult:
+    """The comparison of the two diagrams' interpretations on ``backend``."""
+    return matrix_compare(interpret(lhs, backend=backend, max_rank=max_rank),
+                          interpret(rhs, backend=backend, max_rank=max_rank), tol=tol)
 
 
 def check_soundness(instance: RuleInstance, backend: str = EXACT,
                     tol: float = DEFAULT_TOLERANCE,
-                    max_rank: int = DEFAULT_MAX_RANK) -> SoundnessResult:
-    lhs = interpret(instance.lhs, backend=backend, max_rank=max_rank)
-    rhs = interpret(instance.rhs, backend=backend, max_rank=max_rank)
-    cmp = matrix_compare(lhs, rhs, tol=tol)
-    return SoundnessResult(cmp.equal, cmp.witness)
+                    max_rank: int = DEFAULT_MAX_RANK) -> CompareResult:
+    return check_equation(instance.lhs, instance.rhs, backend, tol, max_rank)
 
 
 _VARIANTS = ((False, False), (True, False), (False, True), (True, True))
@@ -621,11 +619,17 @@ def soundness_suite(ruleset: str, max_arity: int = 3, grid_den: int = 4,
                     max_rank: int = DEFAULT_MAX_RANK,
                     schema_names: Optional[list[str]] = None) -> SuiteReport:
     """Check every schema x variant x arity x grid angle exactly, plus
-    ``n_random`` float-angle draws per schema at tolerance ``tol``."""
+    ``n_random`` float-angle draws per schema at tolerance ``tol``; an empty
+    ``schema_names``, or a name outside the rule set, raises ``RuleError``."""
     _check_grids(max_arity, grid_den, n_random)
     report = SuiteReport()
     schemas = ruleset_schemas(ruleset)
-    if schema_names is not None:
+    if schema_names is not None:  # a selection that checks nothing is refused
+        if not schema_names:
+            raise RuleError("the schema selection is empty")
+        for name in schema_names:
+            if get_schema(name) not in schemas:
+                raise RuleError(f"rule {name!r} is not in ruleset {ruleset!r}")
         schemas = [s for s in schemas if s.name in schema_names]
     for schema in schemas:
         for inst in _instances(schema, max_arity, grid_den):

@@ -5,7 +5,8 @@ makes the pi/4 scalar pair unprovable, the sqrt(2) subfield-membership
 criterion behind the fragment invariants, the angle-multiplication harness
 showing each odd-prime cyclotomic supplementarity is underivable from the
 others, and the numeric checks behind the general-calculus incompleteness
-proof (the quartic root and the four-solution modulus equation).
+proof (the quartic root and the four-solution modulus equation).  Checks
+that only compare two diagrams go through ``rules.check_equation``.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from .diagram import (
     tensor_product, xspider, zspider,
 )
 from .interpret import (
-    DEFAULT_TOLERANCE, EXACT, FLOAT, MAX_MODULUS, interpret, invariant_r, is_zero,
+    DEFAULT_TOLERANCE, FLOAT, MAX_MODULUS, backend_for, interpret, invariant_r, is_zero,
     matrix_compare,
 )
 from .rules import (
-    RuleInstance, _instances, _pair, check_soundness, instantiate, ruleset_schemas,
+    RuleInstance, _instances, _pair, check_equation, check_soundness, instantiate,
+    ruleset_schemas,
 )
 
 
@@ -344,10 +346,8 @@ def witness_theorem2(tol: float = DEFAULT_TOLERANCE) -> WitnessReport:
             f"alpha0={a0:.6f} rad, theta0={t0:.6f} rad")
 
     # (a) the two diagrams agree entrywise at (alpha0, theta0)
-    m1 = interpret(theorem2_d1(), backend=FLOAT)
-    m2 = interpret(theorem2_d2(normalize_float_phase(a0), normalize_float_phase(t0)),
-                   backend=FLOAT)
-    cmp = matrix_compare(m1, m2, tol=tol)
+    d2 = theorem2_d2(normalize_float_phase(a0), normalize_float_phase(t0))
+    cmp = check_equation(theorem2_d1(), d2, FLOAT, tol)
     rep.add("D1 = D2 at (alpha0, theta0)", cmp.equal,
             f"witness {cmp.witness}" if cmp.witness else f"within {tol}")
 
@@ -366,10 +366,8 @@ def witness_theorem2(tol: float = DEFAULT_TOLERANCE) -> WitnessReport:
 
     # (d) the plugged-state reductions agree semantically
     for name, (plugged, reduced) in theorem2_plug_pairs().items():
-        backend = EXACT if plugged.is_exact() and reduced.is_exact() else FLOAT
-        mp = interpret(plugged, backend=backend)
-        mr = interpret(reduced, backend=backend)
-        c = matrix_compare(mp, mr, tol=tol)
+        backend = backend_for(plugged, reduced)
+        c = check_equation(plugged, reduced, backend, tol)
         rep.add(f"{name} reduction agrees ({backend})", c.equal,
                 f"witness {c.witness}" if c.witness else "")
 

@@ -409,3 +409,17 @@ def test_integer_env_var_takes_only_ascii_digits(monkeypatch, capsys, name, valu
     monkeypatch.setenv(name, value)
     assert run(["rule", "list"]) == 2
     assert capsys.readouterr().err == f"error: {name} must be an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("phase, message", [
+    ("1/2", "H boxes carry no phase"), ({"bogus": 1}, "bad phase value {'bogus': 1}"),
+])
+def test_h_box_with_a_phase_exits_two(tmp_path, capsys, phase, message):
+    node = {"id": "h", "kind": "H"}
+    path = tmp_path / "h.zx"
+    for extra, code in (({}, 0), ({"phase": phase}, 2)):
+        path.write_text(json.dumps({"inputs": ["i"], "outputs": ["o"], "nodes": [{**node, **extra}],
+                                    "edges": [["i", "h"], ["h", "o"]]}))
+        assert run(["interpret", str(path)]) == code
+    out = capsys.readouterr()
+    assert out.err == f"error: {path}: malformed diagram: {message}\n"

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from zxexact.cyclotomic import (
     CycloScalar, FieldLayout, ModulusError, _norm_bits, cyclotomic_polynomial, euler_phi,
-    lift_modulus, membership_solve, root_of_unity, sqrt_two,
+    lift_modulus, membership_solve, root_exponent, root_of_unity, sqrt_two,
 )
+from zxexact.diagram import PiRational
+from zxexact.interpret import _exact_ring
 
 from helpers import cyclotomic_polynomial_reference
 
@@ -343,3 +345,28 @@ def test_packed_fields_refuse_a_coefficient_that_does_not_fit():
     for c in (2 ** 63, -2 ** 63 - 1):
         with pytest.raises(OverflowError):
             fields.encode([0, c, 0, 0])
+
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-200, 200), st.integers(1, 30), st.integers(1, 16))
+def test_root_exponent_is_the_exponent_of_every_root_of_unity(num, den, k):
+    M, phase = 8 * k, PiRational(num, den)
+    if M % (2 * den):
+        for call in (lambda: root_exponent(num, den, M), lambda: root_of_unity(num, den, M)):
+            with pytest.raises(ModulusError, match=rf"^modulus {M} not divisible by 2\*{den}$"):
+                call()
+    else:
+        j = root_exponent(num, den, M)
+        assert 0 <= j < M and j == root_exponent(phase.num, phase.den, M)
+        assert abs(cmath.exp(2j * math.pi * j / M) - cmath.exp(1j * math.pi * num / den)) < 1e-9
+        assert root_of_unity(num, den, M) == CycloScalar.zeta_power(M, j)
+    # the exact ring reads the phase in lowest terms
+    ring = _exact_ring(M)
+    if M % (2 * phase.den):
+        with pytest.raises(ModulusError, match=rf"^modulus {M} not divisible by 2\*{phase.den}$"):
+            ring.phase(phase)
+    else:
+        j = root_exponent(phase.num, phase.den, M)
+        assert ring.exponent(phase) == j
+        assert ring.leaf_fields.scalar(ring.phase(phase), 1) == CycloScalar.zeta_power(M, j)

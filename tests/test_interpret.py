@@ -14,7 +14,7 @@ from zxexact.cyclotomic import (
     CycloScalar, cyclotomic_polynomial, membership_solve, root_of_unity, sqrt_two,
 )
 from zxexact.diagram import (
-    Diagram, PiRational, X, Z, hbox, make_generator, make_spider,
+    Diagram, DiagramError, NodeKind, PiRational, X, Z, hbox, make_generator, make_spider,
     sequential_compose, tensor_product, xspider, zspider,
 )
 from zxexact.interpret import (
@@ -226,12 +226,21 @@ def test_plan_of_long_spider_chain():
     assert matrix_compare(interpret(d), interpret(make_generator("identity"))).equal
 
 
-def test_plan_rejects_port_self_loop():
+def test_plan_refuses_port_self_loop_as_malformed():
     d = Diagram()
     d.outputs = ("o",)
     d.add_edge("o", "o")
-    with pytest.raises(BackendError):
-        plan_contraction(d)
+    for check in (plan_contraction, interpret):
+        with pytest.raises(DiagramError, match="dangling port"):
+            check(d)
+
+
+def test_plan_refuses_edge_to_unknown_id():
+    d = make_spider(Z, PiRational(0), 1, 1)
+    d.add_edge("s0", "ghost")
+    for check in (plan_contraction, interpret):
+        with pytest.raises(DiagramError, match="orphan endpoint: ghost"):
+            check(d)
 
 
 def test_float_angles_leave_tensor_cache_unchanged():
@@ -505,3 +514,18 @@ def test_invariants_match_a_brute_force_degree_count(seed, loops):
     deg, mult = d.edge_counts()
     assert all(deg.get(n, 0) == degree(n) for n in d.all_ids())
     assert all(mult[e] == d.edges.count(e) for e in d.edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.booleans(), max_size=3))
+def test_backend_for_is_exact_exactly_when_every_phase_is(seed, floats):
+    rng = random.Random(seed)
+    diagrams = [random_diagram(rng, max_nodes=4) for _ in floats]
+    for d, to_float in zip(diagrams, floats):
+        spiders = [n for n, kind in d.nodes.items() if kind.kind != "H"]
+        if to_float and spiders:
+            n = rng.choice(spiders)
+            d.nodes[n] = NodeKind(d.nodes[n].kind, rng.uniform(0.0, 2 * math.pi))
+    scan = [kind.phase for d in diagrams for kind in d.nodes.values()]
+    exact = all(p is None or type(p) is PiRational for p in scan)
+    assert interp.backend_for(*diagrams) == ("exact" if exact else "float")

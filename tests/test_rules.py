@@ -1,14 +1,23 @@
 """Rule catalogue, instantiation, soundness sweeps, invariant preservation."""
 
-import pytest
+import importlib
+import random
 
-from zxexact.diagram import PiRational, X
-from zxexact.interpret import invariant_r
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zxexact.diagram import NodeKind, PiRational, X
+from zxexact.interpret import EXACT, FLOAT, interpret, invariant_r, matrix_compare
 from zxexact.rules import (
     DERIVED_IMPORTED, RULESETS, RuleError, RuleInstance, catalogue,
-    check_soundness, get_schema, instantiate, invariant_preservation_check,
+    check_equation, check_soundness, get_schema, instantiate, invariant_preservation_check,
     ruleset_schemas, soundness_suite,
 )
+
+from helpers import random_diagram
+
+rules_module = importlib.import_module("zxexact.rules")
 
 
 def test_catalogue_contents():
@@ -178,3 +187,51 @@ def test_props56_semantic_instances():
 def test_variant_instance_keys():
     inst = instantiate("SUP", {"alpha": PiRational(1, 2)}, True, True)
     assert inst.key().endswith("SF")
+
+
+def test_derived_imported_is_read_off_the_catalogue():
+    by_origin = tuple(s.name for s in catalogue() if s.origin == "derived-imported")
+    assert DERIVED_IMPORTED == by_origin == ("HL", "L51", "L52", "GB")
+
+
+@pytest.mark.parametrize("names, message", [
+    ([], "the schema selection is empty"),
+    (["S2", "nope"], "unknown rule 'nope'"),
+    (["S2", "SUPn"], "rule 'SUPn' is not in ruleset 'ZX'"),
+])
+def test_suite_refuses_a_selection_that_checks_nothing_it_names(monkeypatch, names, message):
+    def refuse(*args):
+        raise AssertionError("an instance was built")
+    monkeypatch.setattr(rules_module, "_instances", refuse)
+    with pytest.raises(RuleError, match=message):
+        soundness_suite("ZX", schema_names=names)
+
+
+def _perturbed(d, rng):
+    """``d`` with one spider's phase moved by a grid step, or ``d`` itself."""
+    spiders = [n for n, kind in d.nodes.items() if kind.phase is not None]
+    out = d.copy()
+    if spiders and rng.random() < 0.7:
+        n = rng.choice(spiders)
+        out.nodes[n] = NodeKind(out.nodes[n].kind, out.nodes[n].phase + PiRational(1, 4))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([EXACT, FLOAT]))
+def test_check_equation_is_interpret_then_compare(seed, backend):
+    rng = random.Random(seed)
+    if rng.random() < 0.3:  # a rule instance, whose sides are equal
+        schema = rng.choice(catalogue())
+        bindings = dict(rng.choice(schema.arity_grid(2)))
+        bindings.update((p, PiRational(rng.randrange(8), 4)) for p in schema.angle_params)
+        inst = instantiate(schema, bindings, rng.random() < 0.5, rng.random() < 0.5)
+        lhs, rhs = inst.lhs, inst.rhs
+    else:
+        lhs = random_diagram(rng, max_nodes=5)
+        rhs = _perturbed(lhs, rng)
+    want = matrix_compare(interpret(lhs, backend=backend), interpret(rhs, backend=backend),
+                          tol=1e-9)
+    got = check_equation(lhs, rhs, backend, 1e-9)
+    assert got == want and got.sound == got.equal == bool(got)
+    assert (got.witness is None) == got.equal

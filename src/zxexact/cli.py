@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -21,8 +20,8 @@ import sys
 from .diagram import DiagramError, load_diagram
 from .derive import check_derivation, load_script
 from .interpret import (
-    DEFAULT_MAX_RANK, DEFAULT_TOLERANCE, EXACT, FLOAT, ResourceLimitError, backend_for,
-    interpret, invariant_g, invariant_r,
+    DEFAULT_MAX_RANK, DEFAULT_TOLERANCE, EXACT, FLOAT, ResourceLimitError, _check_tolerance,
+    backend_for, interpret, invariant_g, invariant_r,
 )
 from .rules import (
     RULESETS, RuleError, catalogue, check_soundness, get_schema, instantiate,
@@ -291,13 +290,10 @@ def run(argv: list[str]) -> int:
         args = _build_parser().parse_args(argv, defaults)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        print("error: tolerance must be a finite positive number", file=sys.stderr)
-        return USAGE
-    if args.max_rank < 4:
-        print("error: rank cap must be at least 4", file=sys.stderr)
-        return USAGE
     try:
+        _check_tolerance(args.tolerance)
+        if args.max_rank < 4:
+            raise ValueError("rank cap must be at least 4")
         return args.func(args)
     except (DiagramError, RuleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

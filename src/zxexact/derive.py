@@ -55,7 +55,7 @@ class HalfEdge:
 
     @staticmethod
     def from_json(obj: object) -> "HalfEdge":
-        _json(obj, dict, "a boundary half-edge")
+        _json(obj, dict, "a boundary half-edge", keys=("edge", "k", "end"))
         edge = _json(obj.get("edge"), list, "a half-edge's edge", str)
         end = _json(obj.get("end"), int, "a half-edge's end")
         k = _json(obj.get("k", 0), int, "a half-edge's k")
@@ -331,9 +331,9 @@ class DerivationStep:
 
     @staticmethod
     def from_json(obj: object) -> "DerivationStep":
-        _json(obj, dict, "a step")
-        variant = _json(obj.get("variant", {}), dict, "a step's variant")
-        match = _json(obj.get("match", {}), dict, "a step's match")
+        _json(obj, dict, "a step", keys=("rule", "variant", "dir", "bindings", "match"))
+        variant = _json(obj.get("variant", {}), dict, "a step's variant", keys=("swap", "flip"))
+        match = _json(obj.get("match", {}), dict, "a step's match", keys=("nodes", "boundary"))
         direction = obj.get("dir", "ltr")
         if direction not in ("ltr", "rtl"):
             raise DiagramError(f"a step's dir must be \"ltr\" or \"rtl\", got {direction!r}")
@@ -387,7 +387,8 @@ class DerivationScript:
     @staticmethod
     def from_json(obj: object) -> "DerivationScript":
         """The script of a JSON object; raises DiagramError for a malformed one."""
-        _json(obj, dict, "a script")
+        _json(obj, dict, "a script",
+              keys=("schema", "ruleset", "initial", "steps", "final", "final_iso"))
         return DerivationScript(
             ruleset=_json(obj.get("ruleset"), str, "ruleset"),
             initial=diagram_from_json(_json(obj.get("initial"), dict, "initial")),

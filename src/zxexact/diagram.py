@@ -478,27 +478,36 @@ _JSON_TYPES = {dict: "a JSON object", list: "a JSON list", str: "a string", int:
                bool: "a boolean"}
 
 
-def _json(value: object, kind: type, what: str, item: Optional[type] = None):
-    """``value`` when it is of JSON type ``kind`` and, if ``item`` is given,
-    every element of a list (or value of an object) is of type ``item``;
-    otherwise a DiagramError naming ``what``."""
+def _json(value: object, kind: type, what: str, item: Optional[type] = None,
+          keys: tuple = ()):
+    """``value`` when it is of JSON type ``kind``, if ``item`` is given every
+    element of a list (or value of an object) is of type ``item``, and if
+    ``keys`` are given an object has no other key; otherwise a DiagramError
+    naming ``what``."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise DiagramError(f"{what} must be {_JSON_TYPES[kind]}")
     if item is not None:
         for x in value.values() if kind is dict else value:
             if not isinstance(x, item):
                 raise DiagramError(f"every item of {what} must be {_JSON_TYPES[item]}")
+    for key in value if keys else ():
+        if key not in keys:
+            raise DiagramError(f"{what} has an unknown key {key!r}")
     return value
 
 
 def diagram_from_json(obj: object) -> Diagram:
-    """The diagram of a JSON object; raises DiagramError for a malformed one."""
-    _json(obj, dict, "a diagram")
+    """The diagram of a JSON object; raises DiagramError for a malformed one,
+    including a repeated node id and a key it does not know."""
+    _json(obj, dict, "a diagram", keys=("inputs", "outputs", "nodes", "edges"))
     d = Diagram()
     d.inputs = tuple(_json(obj.get("inputs", []), list, "inputs", str))
     d.outputs = tuple(_json(obj.get("outputs", []), list, "outputs", str))
     for entry in _json(obj.get("nodes", []), list, "nodes", dict):
+        _json(entry, dict, "a node", keys=("id", "kind", "phase"))
         node_id = _json(entry.get("id"), str, "a node id")
+        if node_id in d.nodes:
+            raise DiagramError(f"node id {node_id!r} appears twice")
         kind, phase = entry.get("kind"), entry.get("phase", "0")
         bare_h = kind == H and "phase" not in entry  # ``NodeKind`` refuses an H box's phase
         d.nodes[node_id] = NodeKind(kind, None if bare_h else phase_from_json(phase))

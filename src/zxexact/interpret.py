@@ -37,14 +37,22 @@ cached.
 denominator and packed entries; it reduces an entry modulo Phi_M into a
 ``CycloScalar`` only when ``entries`` is first read, and at a power-of-two
 M that reduction does nothing.  ``matrix_compare`` decides two matrices of
-identical kernel form equal without making any scalar.  A step consuming
-a Z leaf with legs is a Z step (``contract_z``): the leaf is non-zero only
-at all-zeros (1) and all-ones (u = e^(ia)), so the result holds the other
-operand's all-zeros shared slice and u times its all-ones one (their sum
-if the leaf has no free leg), u a shift in the exact ring.  X leaves stay
-dense; every other step runs the generic product loop (``contract``).  The
-modulus is capped at ``MAX_MODULUS``.  ``backend_for`` is the one exactness
-policy: EXACT when every phase is exact, FLOAT otherwise.
+identical kernel form equal without making any scalar.
+
+While a Z or X tensor is a spider (a leaf, or one that has absorbed
+states) it is held by two values: v0 at all-zeros and v1 at all-ones for Z
+(COPY), v0 on even patterns and v1 on odd ones for X (PARITY).  A step
+meeting it with a rank-1 (x0, x1) on one leg is an absorb step: COPY
+becomes (v0 x0, v1 x1), PARITY (v0 x0 + v1 x1, v1 x0 + v0 x1), at rank 0
+the sum v0 x0 + v1 x1; a product by a Z state's +-X^k is a shift.  A
+two-leaf program's one step makes the final matrix, so it holds no
+spider.  Other steps expand a spider (a leaf's entries are cached); one
+consuming a Z leaf with legs is a Z step (``contract_z``), the other
+operand's all-zeros shared slice and u = e^(ia) times its all-ones one
+(their sum if the leaf has no free leg), and the rest run the generic
+product loop (``contract``).  The modulus is capped at ``MAX_MODULUS``.
+``backend_for`` is the one exactness policy: EXACT when every phase is
+exact, FLOAT otherwise.
 """
 
 from __future__ import annotations
@@ -85,9 +93,10 @@ class ResourceLimitError(RuntimeError):
 # form: ``pack`` turns a leaf's denominator and scalars into the ``_Tensor``
 # fields after the axes (``den``, ``data`` and, for exact tensors, ``bits``
 # and ``fields``), ``contract`` runs a pairwise contraction's inner loop,
-# ``contract_z`` a Z step's, and ``matrix`` makes the final
-# ``SemanticMatrix``.  The float ring stores plain complex numbers, the
-# exact ring packed ints (``cyclotomic.FieldLayout``).
+# ``contract_z`` a Z step's (reading u from the leaf's two values, as
+# ``absorb`` reads a spider's), ``absorb`` an absorb step's, and ``matrix``
+# makes the final ``SemanticMatrix``.  The float ring stores plain complex
+# numbers, the exact ring packed ints (``cyclotomic.FieldLayout``).
 
 # Bounds of the module caches: the four benchmark workloads use at most 10
 # rings and about 2,000 leaf tensors.
@@ -141,7 +150,8 @@ class _ExactRing:
     bound would pass its fields' limit, ``fit`` recomputes the operands'
     bounds exactly and, if that is not enough, re-encodes them in wider
     fields, so no field ever spills into its neighbour.  A Z step keeps the
-    other operand's bound, +1 if it sums two slices, less the 2s divided out."""
+    other operand's bound, +1 if it sums two slices, less the 2s divided out;
+    an absorb step's is the two bounds' sum, +1 for a PARITY or rank-0 sum."""
 
     one, zero = 1, 0
 
@@ -195,7 +205,7 @@ class _ExactRing:
         fields = self.fields(sum(t.bits for t in tensors) + extra)
         return [t if t.fields is fields else _Tensor(
                     t.axes, t.den, [fields.encode(t.fields.decode(v)) for v in t.data],
-                    t.bits, fields)
+                    t.bits, fields, t.spider)
                 for t in tensors]
 
     def contract(self, t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
@@ -208,13 +218,16 @@ class _ExactRing:
 
     def contract_z(self, phase: Phase, z: "_Tensor", t: "_Tensor", axes, layout,
                    z_first: bool) -> "_Tensor":
-        """``contract`` with a Z leaf ``z``: u = +-X^(j mod n) is a shift."""
+        """``contract`` with the Z leaf ``z`` of ``phase``: its v1, u = +-X^k,
+        is a shift."""
         base, hi, nz, rows = _z_view(layout, z_first)
         if nz == 1 and t.bits + 1 > t.fields.limit:
             t, = self.fit((t,), 1)
-        d, fields, j, n = t.data, t.fields, self.exponent(phase), self.modulus // 2
-        shift = j % n * fields.width
-        ones = [d[o + hi] << shift if j < n else -(d[o + hi] << shift) for o in base]
+        d, fields, u = t.data, t.fields, _two_values(z)[1]
+        shift = (abs(u).bit_length() - 1) // z.fields.width * fields.width
+        ones = [d[o + hi] << shift for o in base]
+        if u < 0:
+            ones = [-v for v in ones]
         if nz == 1:
             data = [d[o] + v for o, v in zip(base, ones)]
         else:
@@ -222,6 +235,18 @@ class _ExactRing:
             data[rows[0]], data[rows[1]] = [d[o] for o in base], ones
         den, strip = fields.reduce_in_lowest_terms(data, t.den)
         return _Tensor(axes, den, data, t.bits + (nz == 1) - strip, fields)
+
+    def absorb(self, s: "_Tensor", x: "_Tensor", size: int) -> "_Tensor":
+        """``_absorb`` of the state ``x`` into the spider ``s``; products by
+        a power of two, such as a Z state's +-X^k, are shifts."""
+        summed = s.spider == X or size == 1
+        if s.fields is not x.fields or s.bits + x.bits + summed > s.fields.limit:
+            s, x = self.fit((_Tensor(None, s.den, _two_values(s), s.bits, s.fields, s.spider),
+                             x), summed)
+        data = _absorb(s, x, size, _times)
+        den, strip = s.fields.reduce_in_lowest_terms(data, s.den * x.den)
+        return _Tensor(None, den, data, s.bits + x.bits + summed - strip, s.fields,
+                       s.spider if size > 1 else None)
 
     @staticmethod
     def matrix(den: int, data: list, fields: FieldLayout, n_in: int, n_out: int):
@@ -266,7 +291,7 @@ class _FloatRing:
         """``contract`` with a Z leaf ``z``: ``_products``' multiplies by its
         ``one`` and u, zero skips and sums (complex products commute exactly)."""
         base, hi, nz, rows = _z_view(layout, z_first)
-        one, u, d, zero = z.data[0], z.data[-1], t.data, complex(0)
+        (one, u), d, zero = _two_values(z), t.data, complex(0)
         lows = [v * one if (v := d[o]) else zero for o in base]
         ones = [v * u if (v := d[o + hi]) else zero for o in base]
         if nz == 1:  # ``zero`` itself marks a skipped product
@@ -275,6 +300,11 @@ class _FloatRing:
         data = [zero] * (nz * len(base))
         data[rows[0]], data[rows[1]] = lows, ones
         return _Tensor(axes, 1, data)
+
+    @staticmethod
+    def absorb(s: "_Tensor", x: "_Tensor", size: int) -> "_Tensor":
+        return _Tensor(None, 1, _absorb(s, x, size, operator.mul), 0, None,
+                       s.spider if size > 1 else None)
 
     @staticmethod
     def matrix(den: int, data: list, fields, n_in: int, n_out: int):
@@ -321,17 +351,62 @@ class _Tensor:
 
     A packed tensor is in lowest terms: ``den`` is 1 or some coefficient of
     some entry is odd.  ``_ExactRing.pack`` strips each leaf once, when it
-    is built, and each contraction strips its result."""
+    is built, and each contraction strips its result.  ``spider`` is Z or X
+    while ``interpret`` holds the tensor as a spider with legs, whose
+    ``data`` may be only its two values (``_dense``)."""
 
-    __slots__ = ("axes", "den", "data", "bits", "fields")
+    __slots__ = ("axes", "den", "data", "bits", "fields", "spider")
 
     def __init__(self, axes: list[str], den: int, data, bits: int = 0,
-                 fields: Optional[FieldLayout] = None):
+                 fields: Optional[FieldLayout] = None, spider: Optional[str] = None):
         self.axes = axes
         self.den = den
         self.data = data
         self.bits = bits
         self.fields = fields
+        self.spider = spider
+
+
+def _two_values(t: _Tensor) -> tuple:
+    """A spider's (v0, v1), dense or not: its first entry and its last (Z) or
+    second (X)."""
+    d = t.data
+    return d[0], d[1] if t.spider == X else d[-1]
+
+
+def _times(a: int, b: int) -> int:
+    """The packed product a * b; a shift when |b| is a power of two, such as
+    a Z state's +-X^k."""
+    m = abs(b)
+    if not m or m & (m - 1):
+        return a * b
+    p = a << m.bit_length() - 1
+    return p if b > 0 else -p
+
+
+def _absorb(s: _Tensor, x: _Tensor, size: int, mul) -> list:
+    """The values of the spider ``s`` after it absorbs the rank-1 ``x``,
+    ``size`` patterns left; ``mul`` multiplies two of the ring's values."""
+    (v0, v1), (x0, x1) = _two_values(s), x.data
+    if size == 1:
+        return [mul(v0, x0) + mul(v1, x1)]
+    if s.spider == Z:
+        return [mul(v0, x0), mul(v1, x1)]
+    return [mul(v0, x0) + mul(v1, x1), mul(v1, x0) + mul(v0, x1)]
+
+
+def _dense(t: _Tensor, size: int, zero) -> _Tensor:
+    """``t`` with all ``size`` entries; PARITY ones are built by doubling."""
+    if len(t.data) == size:
+        return t
+    v0, v1 = _two_values(t)
+    if t.spider == Z:
+        data = [v0] + [zero] * (size - 2) + [v1]
+    else:
+        data, odd = [v0], [v1]
+        while len(data) < size:
+            data, odd = data + odd, odd + data
+    return _Tensor(t.axes, t.den, data, t.bits, t.fields, t.spider)
 
 
 def _spider_tensor_fresh(kind: NodeKind, degree: int, ring) -> tuple:
@@ -748,15 +823,30 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
     pool = {i: _Tensor(axes, *_leaf_tensor(kind, len(axes), ring))
             for i, (kind, axes) in enumerate(leaves)}
     n = len(leaves)
+    if n > 2:  # the one step of two leaves makes the final, dense matrix at once
+        for i, (kind, axes) in enumerate(leaves):
+            if axes and kind.kind != H:
+                pool[i].spider = kind.kind
     for new, (i, j, layout) in enumerate(steps, n):
         t1, t2 = pool.pop(i), pool.pop(j)
-        if i < n and t1.axes and (kind := leaves[i][0]).kind == Z:
-            pool[new] = ring.contract_z(kind.phase, t1, t2, None, layout, True)
-        elif j < n and t2.axes and (kind := leaves[j][0]).kind == Z:
-            pool[new] = ring.contract_z(kind.phase, t2, t1, None, layout, False)
+        if t1.spider and len(layout[3]) == 2 and len(layout[1]) == 1:  # t2: rank 1, on t1
+            pool[new] = ring.absorb(t1, t2, len(layout[0]))
+        elif t2.spider and len(layout[2]) == 2 and len(layout[0]) == 1:
+            pool[new] = ring.absorb(t2, t1, len(layout[1]))
         else:
-            pool[new] = ring.contract(t1, t2, None, layout)
+            if j >= n:  # i < j: leaves are dense, a spider that absorbed states may not be
+                b1, b2, sh1, sh2 = layout
+                t1 = _dense(t1, len(b1) * len(sh1), ring.zero)
+                t2 = _dense(t2, len(b2) * len(sh2), ring.zero)
+            if i < n and t1.axes and (kind := leaves[i][0]).kind == Z:
+                pool[new] = ring.contract_z(kind.phase, t1, t2, None, layout, True)
+            elif j < n and t2.axes and (kind := leaves[j][0]).kind == Z:
+                pool[new] = ring.contract_z(kind.phase, t2, t1, None, layout, False)
+            else:
+                pool[new] = ring.contract(t1, t2, None, layout)
     final = pool.popitem()[1] if pool else _Tensor([], *ring.pack(1, [ring.one]))
+    if final.spider:
+        final = _dense(final, len(order[0]) * len(order[1]), ring.zero)
     return _matrix(final, ring, *order)
 
 
@@ -796,7 +886,7 @@ class CompareResult:
 
 def _check_tolerance(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
+        raise ValueError("tolerance must be a finite positive number")
 
 
 def matrix_compare(a: SemanticMatrix, b: SemanticMatrix,

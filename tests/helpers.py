@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 
+from zxexact.cyclotomic import CycloScalar
 from zxexact.diagram import Diagram, NodeKind, PiRational, _norm_edge, hbox, xspider, zspider
 from zxexact.interpret import ContractionPlan, ResourceLimitError
 
@@ -153,3 +157,86 @@ def cyclotomic_polynomial_reference(M: int) -> tuple[int, ...]:
     while len(quot) > 1 and quot[-1] == 0:
         quot.pop()
     return tuple(quot)
+
+
+def _path_weight(kind: NodeKind, bits: tuple, M: int):
+    """A node's weight on the bits of its legs as (k, {exponent: int}), the
+    polynomial in zeta_M times (1/sqrt2)^k, or None when it is zero."""
+    if kind.kind == "H":
+        return 1, {0: -1 if bits[0] & bits[1] else 1}
+    e = kind.phase.num * (M // (2 * kind.phase.den)) % M  # e^(i pi num/den) = zeta_M^e
+    if kind.kind == "Z":
+        if not bits:
+            terms = ((0, 1), (e, 1))
+        elif not any(bits) or all(bits):
+            terms = ((e if bits[0] else 0, 1),)
+        else:
+            return None
+        k = 0
+    else:
+        terms, k = ((0, 1), (e, -1 if sum(bits) % 2 else 1)), len(bits)
+    poly: dict[int, int] = {}
+    for exp, c in terms:
+        poly[exp] = poly.get(exp, 0) + c
+    return (k, poly) if any(poly.values()) else None
+
+
+def path_sum(d: Diagram, max_internal: int = 12) -> list[list[CycloScalar]]:
+    """The matrix of ``d`` as a sum over paths, an oracle that shares no code
+    with ``interpret``.  Every edge carries one bit.  Entry (r, c) fixes the
+    bits of the port edges (r over the outputs, c over the inputs, the first
+    port most significant; a port-to-port wire needs its two ports' bits
+    equal) and sums, over the bits of the internal edges, the product of the
+    nodes' weights on the bits of their legs (a self-loop gives its bit to two
+    legs): a Z spider 1 at all-zeros and e^(ia) at all-ones, 1 + e^(ia) with
+    no legs; an X spider (1 + (-1)^(ones) e^(ia)) / sqrt2^legs; an H box
+    (-1)^(b1 b2) / sqrt2.  Exact, on ``CycloScalar`` arithmetic at
+    M = lcm(8, 2 den) over the phases; raises ValueError above
+    ``max_internal`` internal edges."""
+    M = math.lcm(8, *(2 * k.phase.den for k in d.nodes.values() if k.phase is not None))
+    ports = list(d.outputs) + list(d.inputs)
+    port_edge = {end: k for k, edge in enumerate(d.edges) for end in edge if end in ports}
+    internal = [k for k, (a, b) in enumerate(d.edges) if a in d.nodes and b in d.nodes]
+    if len(internal) > max_internal:
+        raise ValueError(f"{len(internal)} internal edges, above {max_internal}")
+    legs = {n: [k for k, (a, b) in enumerate(d.edges) for end in (a, b) if end == n]
+            for n in d.nodes}
+    inv_sqrt2 = CycloScalar(M, {M // 8: Fraction(1, 2), -M // 8: Fraction(1, 2)})
+    weights: dict[tuple, object] = {}
+    rows = []
+    for port_bits in itertools.product((0, 1), repeat=len(ports)):
+        bit, consistent = [None] * len(d.edges), True
+        for p, b in zip(ports, port_bits):
+            consistent &= bit[port_edge[p]] in (None, b)  # a wire's two ports agree
+            bit[port_edge[p]] = b
+        sums: dict[int, dict[int, int]] = {}  # by the power of 1/sqrt2
+        for inner in itertools.product((0, 1), repeat=len(internal)) if consistent else ():
+            for k, b in zip(internal, inner):
+                bit[k] = b
+            power, poly = 0, {0: 1}
+            for n, kind in d.nodes.items():
+                key = (n, tuple(bit[k] for k in legs[n]))
+                if key not in weights:
+                    weights[key] = _path_weight(kind, key[1], M)
+                if weights[key] is None:
+                    break
+                scale, w = weights[key]
+                power += scale
+                product: dict[int, int] = {}
+                for e1, c1 in poly.items():
+                    for e2, c2 in w.items():
+                        product[(e1 + e2) % M] = product.get((e1 + e2) % M, 0) + c1 * c2
+                poly = product
+            else:
+                total = sums.setdefault(power, {})
+                for e, c in poly.items():
+                    total[e] = total.get(e, 0) + c
+        value = CycloScalar.zero(M)
+        for power, poly in sums.items():
+            term = CycloScalar(M, poly)
+            for _ in range(power):
+                term = term * inv_sqrt2
+            value = value + term
+        rows.append(value)
+    cols = 1 << len(d.inputs)
+    return [rows[r:r + cols] for r in range(0, len(rows), cols)]

@@ -1,0 +1,192 @@
+"""The absorb step (``absorb``) against the dense contraction of the same
+pair (``_contract_pair`` over the spider's entries, built here by popcount),
+its oracle: the same ring element over the same denominator in the exact
+ring, with a bound that holds and fields widened when the bound needs it;
+within 1e-12 in the float ring.  Spiders of 1 to 8 legs are drawn at M = 8,
+24 and 312, COPY (Z) and PARITY (X), as leaves or held by two values, with
+monomial (Z) and other states on either side; SUP_n's left sides are run
+with and without absorb steps."""
+
+import importlib
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zxexact.cyclotomic import _norm_bits
+from zxexact.diagram import X, Z, NodeKind, PiRational
+from zxexact.interpret import interpret
+from zxexact.rules import instantiate
+
+interp = importlib.import_module("zxexact.interpret")
+
+MODULI = (8, 24, 312)
+# sparse values whose norms often sit on a power of two, so a bound one too
+# small shows; large ones make a product outgrow 32-bit fields
+COEFFS = (1, -1, 3, -2, 2 ** 29, -(2 ** 30))
+
+
+def _spider_entries(colour, v0, v1, legs, zero):
+    """The dense entries of a COPY (Z) or PARITY (X) spider of two values."""
+    size = 1 << legs
+    if colour == Z:
+        return [v0 if i == 0 else v1 if i == size - 1 else zero for i in range(size)]
+    return [v1 if bin(i).count("1") % 2 else v0 for i in range(size)]
+
+
+def _pair(data, colour):
+    """The spider's axes, its shared leg and whether the state comes first."""
+    legs = data.draw(st.integers(1, 8), label="legs")
+    axes = data.draw(st.permutations([f"a{k}" for k in range(legs)]))
+    return axes, data.draw(st.sampled_from(axes), label="shared"), data.draw(st.booleans())
+
+
+def _packed(data, ring, count, label):
+    """``count`` sparse values in 32- or 64-bit fields, their bound and den."""
+    n = ring.modulus // 2
+    sparse = st.dictionaries(st.integers(0, n - 1), st.sampled_from(COEFFS), max_size=3)
+    coeffs = [[terms.get(k, 0) for k in range(n)]
+              for terms in data.draw(st.lists(sparse, min_size=count, max_size=count), label)]
+    bits = max(map(_norm_bits, coeffs))
+    wide = data.draw(st.booleans(), label=f"{label} in 64-bit fields")
+    fields = ring.fields(max(bits, 32) if wide else bits)
+    den = data.draw(st.sampled_from((1, 2, 8)), label=f"{label} den")
+    return [fields.encode(c) for c in coeffs], bits, fields, den
+
+
+def _exact_spider(data, ring, colour, axes):
+    """(spider, its dense oracle): a leaf of a drawn phase, or two values."""
+    if data.draw(st.booleans(), label="leaf"):
+        phase = PiRational(data.draw(st.integers(0, ring.modulus - 1), label="j") * 2,
+                           ring.modulus)
+        den, dense, bits, fields = interp._leaf_tensor(NodeKind(colour, phase), len(axes), ring)
+        return (interp._Tensor(axes, den, dense, bits, fields, colour),
+                interp._Tensor(axes, den, list(dense), bits, fields))
+    (v0, v1), bits, fields, den = _packed(data, ring, 2, "spider values")
+    return (interp._Tensor(axes, den, [v0, v1], bits, fields, colour),
+            interp._Tensor(axes, den, _spider_entries(colour, v0, v1, len(axes), 0), bits, fields))
+
+
+def _exact_state(data, ring, leg):
+    """Two copies of a rank-1 tensor: a Z state (monomials), an X state, or
+    drawn values."""
+    kind = data.draw(st.sampled_from((Z, X, None)), label="state")
+    if kind is None:
+        values, bits, fields, den = _packed(data, ring, 2, "state values")
+        return [interp._Tensor([leg], den, list(values), bits, fields) for _ in range(2)]
+    phase = PiRational(data.draw(st.integers(0, ring.modulus - 1), label="state j") * 2,
+                       ring.modulus)
+    den, values, bits, fields = interp._leaf_tensor(NodeKind(kind, phase), 1, ring)
+    return [interp._Tensor([leg], den, values, bits, fields) for _ in range(2)]
+
+
+def _norms(t):
+    return [sum(map(abs, t.fields.decode(v))) for v in t.data]
+
+
+@given(st.sampled_from(MODULI), st.sampled_from((Z, X)), st.data())
+@settings(max_examples=400, deadline=None)
+def test_exact_absorb_is_the_dense_contraction(M, colour, data):
+    ring = interp._exact_ring(M)
+    axes, leg, state_first = _pair(data, colour)
+    spider, dense = _exact_spider(data, ring, colour, axes)
+    state, state_copy = _exact_state(data, ring, leg)
+    generic = interp._contract_pair(*((state_copy, dense) if state_first else (dense, state_copy)),
+                                    ring)
+    size = 1 << (len(axes) - 1)
+    fast = ring.absorb(spider, state, size)
+    # one leg fewer: two values from rank 2 on, the one sum at rank 0
+    assert len(fast.data) == min(size, 2)
+    assert fast.spider == (colour if size > 1 else None)
+    entries = _spider_entries(colour, *fast.data, len(axes) - 1, 0) if size > 1 else fast.data
+    assert fast.den == generic.den
+    assert ([fast.fields.decode(v) for v in entries]
+            == [generic.fields.decode(v) for v in generic.data])
+    if fast.fields is generic.fields:
+        assert entries == generic.data
+    # an all-zero result may strip its bound below 0
+    assert max(_norms(fast)) <= 2 ** fast.bits and fast.bits <= fast.fields.limit
+
+
+@pytest.mark.parametrize("colour", [Z, X])
+def test_absorb_widens_fields_that_the_bound_outgrows(colour):
+    # spider values of norm 2^30 fill a 32-bit field's limit; an X state's
+    # 1/sqrt2 binomial (norm 2) doubles them, so the result needs 64 bits
+    ring = interp._exact_ring(24)
+    fields = ring.fields(30)
+    big = fields.encode([2 ** 30] + [0] * 11)
+    spider = interp._Tensor(None, 1, [big, -big], 30, fields, colour)
+    state = interp._Tensor(None, *interp._leaf_tensor(NodeKind(X, PiRational(0)), 1, ring))
+    assert state.bits + spider.bits > fields.limit and fields.width == 32
+    fast = ring.absorb(spider, state, 4)
+    assert fast.fields.width == 64 and fast.spider == colour
+    assert max(_norms(fast)) <= 2 ** fast.bits <= 2 ** fast.fields.limit
+
+
+@given(st.sampled_from(MODULI), st.sampled_from((Z, X)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_float_absorb_is_the_dense_contraction(M, colour, data):
+    ring = interp._FLOAT_RING
+    axes, leg, state_first = _pair(data, colour)
+    parts = st.floats(-4, 4)
+    values = st.lists(st.builds(complex, parts, parts), min_size=2, max_size=2)
+    if data.draw(st.booleans(), label="leaf"):
+        phase = PiRational(data.draw(st.integers(0, M - 1), label="j") * 2, M)
+        dense = interp._leaf_tensor(NodeKind(colour, phase), len(axes), ring)[1]
+        v0, v1 = dense[0], dense[-1] if colour == Z else dense[1]
+        spider = interp._Tensor(axes, 1, dense, spider=colour)
+    else:
+        v0, v1 = data.draw(values, label="spider values")
+        spider = interp._Tensor(axes, 1, [v0, v1], spider=colour)
+    state_kind = data.draw(st.sampled_from((Z, X, None)), label="state")
+    if state_kind is None:
+        x = data.draw(values, label="state values")
+    else:
+        x = interp._leaf_tensor(NodeKind(state_kind, PiRational(data.draw(
+            st.integers(0, M - 1), label="state j") * 2, M)), 1, ring)[1]
+    dense = interp._Tensor(axes, 1, _spider_entries(colour, v0, v1, len(axes), complex(0)))
+    state = interp._Tensor([leg], 1, list(x))
+    generic = interp._contract_pair(*((state, dense) if state_first else (dense, state)), ring)
+    size = 1 << (len(axes) - 1)
+    fast = ring.absorb(spider, state, size)
+    entries = (_spider_entries(colour, *fast.data, len(axes) - 1, complex(0)) if size > 1
+               else fast.data)
+    assert len(entries) == len(generic.data)
+    assert all(abs(a - b) <= 1e-12 for a, b in zip(entries, generic.data))
+
+
+def _dense_only(ring):
+    """Patch ``ring`` so that every absorb step contracts the spider's dense
+    entries instead."""
+    def absorb(s, x, size):
+        legs = size.bit_length()
+        axes = [f"a{k}" for k in range(legs)]
+        v0, v1 = s.data[0], s.data[-1] if s.spider == Z else s.data[1]
+        dense = interp._Tensor(axes, s.den, _spider_entries(s.spider, v0, v1, legs, ring.zero),
+                               s.bits, s.fields)
+        return interp._contract_pair(dense, interp._Tensor(["a0"], x.den, x.data, x.bits,
+                                                           x.fields), ring)
+    return mock.patch.object(ring, "absorb", absorb)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["plain", "swapped"])
+@pytest.mark.parametrize("n", [2, 5, 13])
+def test_sup_n_left_sides_absorb_every_state(n, swap):
+    # the left side is an (n + 1)-leg X spider (cut into 8-leg pieces) fed by
+    # n one-legged Z spiders; colour-swapped, a Z spider fed by X states
+    lhs = instantiate("SUPn", {"n": n, "alpha": PiRational(1, 12)}, swap).lhs
+    ring = interp._exact_ring(interp.choose_modulus(lhs))
+    with mock.patch.object(ring, "absorb", wraps=ring.absorb) as absorb:
+        exact = interpret(lhs)
+    assert absorb.call_count >= n
+    with _dense_only(ring):
+        dense = interpret(lhs)
+    assert exact.entries == dense.entries
+    if exact._kernel[2] is dense._kernel[2]:
+        assert exact._kernel == dense._kernel
+    flt = interpret(lhs, "float")
+    with _dense_only(interp._FLOAT_RING):
+        flt_dense = interpret(lhs, "float")
+    assert all(abs(a - b) <= 1e-12 for a, b in zip(flt.entries[0] + flt.entries[1],
+                                                    flt_dense.entries[0] + flt_dense.entries[1]))

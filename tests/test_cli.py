@@ -423,3 +423,41 @@ def test_h_box_with_a_phase_exits_two(tmp_path, capsys, phase, message):
         assert run(["interpret", str(path)]) == code
     out = capsys.readouterr()
     assert out.err == f"error: {path}: malformed diagram: {message}\n"
+
+
+@pytest.mark.parametrize("change, message", [
+    # the second node of one id used to replace the first
+    (lambda d: d["nodes"].append({"id": "n", "kind": "X", "phase": "0"}),
+     "node id 'n' appears twice"),
+    # a misspelt key used to leave phase 0
+    (lambda d: d["nodes"][0].update(phse="1"), "a node has an unknown key 'phse'"),
+    (lambda d: d.update(extra=1), "a diagram has an unknown key 'extra'"),
+], ids=["repeated-id", "node-key", "diagram-key"])
+def test_ambiguous_diagram_file_exits_two(tmp_path, capsys, change, message):
+    diagram = {"inputs": ["i"], "outputs": ["o"], "nodes": [{"id": "n", "kind": "Z", "phase": "1"}],
+               "edges": [["i", "n"], ["n", "o"]]}
+    path = tmp_path / "d.zx"
+    path.write_text(json.dumps(diagram))
+    assert run(["interpret", str(path)]) == 0
+    capsys.readouterr()
+    change(diagram)
+    path.write_text(json.dumps(diagram))
+    assert run(["interpret", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: malformed diagram: {message}\n"
+
+
+@pytest.mark.parametrize("where, message", [
+    ([], "a script has an unknown key 'extra'"),
+    (["steps", 0], "a step has an unknown key 'extra'"),
+    (["steps", 0, "variant"], "a step's variant has an unknown key 'extra'"),
+    (["steps", 0, "match"], "a step's match has an unknown key 'extra'"),
+    (["initial"], "a diagram has an unknown key 'extra'"),
+], ids=["script", "step", "variant", "match", "initial"])
+def test_unknown_script_key_exits_two(tmp_path, capsys, where, message):
+    script = _bundled("sup4_from_sup2.json")
+    assert "schema" in script  # the bundled scripts carry it, and it is accepted
+    _at(script, where)["extra"] = 1
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(script))
+    assert run(["derive", "check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: malformed script: {message}\n"

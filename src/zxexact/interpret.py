@@ -50,7 +50,10 @@ spider.  Other steps expand a spider (a leaf's entries are cached); one
 consuming a Z leaf with legs is a Z step (``contract_z``), the other
 operand's all-zeros shared slice and u = e^(ia) times its all-ones one
 (their sum if the leaf has no free leg), and the rest run the generic
-product loop (``contract``).  The modulus is capped at ``MAX_MODULUS``.
+product loop (``contract``).  Spider steps are the exact kernel's alone:
+the float backend runs every step through the plain product loop, so it
+shares no spider code with the kernel it serves as an oracle for.  The
+modulus is capped at ``MAX_MODULUS``.
 ``backend_for`` is the one exactness policy: EXACT when every phase is
 exact, FLOAT otherwise.
 """
@@ -61,11 +64,13 @@ import cmath
 import heapq
 import math
 import operator
-import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
-from .cyclotomic import CycloScalar, FieldLayout, _check_modulus, lift_modulus, root_exponent
+from .cyclotomic import (
+    MODULUS_CACHE_SIZE, CycloScalar, FieldLayout, _check_modulus, lift_modulus, root_exponent,
+)
 from .diagram import (
     Diagram, NodeKind, Phase, PiRational, H, X, Z,
     ensure_valid, phase_is_exact, phase_radians, zspider,
@@ -92,15 +97,16 @@ class ResourceLimitError(RuntimeError):
 # ``phase``, ``inv_sqrt2_pow`` and ``mul``) and stores tensors in its own
 # form: ``pack`` turns a leaf's denominator and scalars into the ``_Tensor``
 # fields after the axes (``den``, ``data`` and, for exact tensors, ``bits``
-# and ``fields``), ``contract`` runs a pairwise contraction's inner loop,
-# ``contract_z`` a Z step's (reading u from the leaf's two values, as
-# ``absorb`` reads a spider's), ``absorb`` an absorb step's, and ``matrix``
-# makes the final ``SemanticMatrix``.  The float ring stores plain complex
-# numbers, the exact ring packed ints (``cyclotomic.FieldLayout``).
+# and ``fields``), ``contract`` runs a pairwise contraction's inner loop
+# (``_products``) and ``matrix`` makes the final ``SemanticMatrix``.  The
+# float ring stores plain complex numbers and has nothing more; the exact
+# ring stores packed ints (``cyclotomic.FieldLayout``) and also runs the
+# spider steps: ``contract_z`` a Z step's (reading u from the leaf's two
+# values, as ``absorb`` reads a spider's) and ``absorb`` an absorb step's.
 
 # Bounds of the module caches: the four benchmark workloads use at most 10
-# rings and about 2,000 leaf tensors.
-RING_CACHE_SIZE = 64
+# rings (bounded with the other per-modulus caches, by
+# ``cyclotomic.MODULUS_CACHE_SIZE``) and about 2,000 leaf tensors.
 TENSOR_CACHE_SIZE = 4096
 PROGRAM_CACHE_LEAVES = 2048
 
@@ -112,15 +118,6 @@ MAX_MODULUS = 65536
 # Bits per coefficient field of a packed tensor; a tensor whose coefficient
 # bound outgrows its fields is re-encoded in wider ones (a multiple of this).
 FIELD_WIDTH = 32
-
-
-def _bounded_put(cache: dict, key, value, limit: int):
-    """Store ``value`` under ``key``, first dropping the oldest entry if the
-    cache holds ``limit`` of them; returns ``value``."""
-    if len(cache) >= limit:
-        del cache[next(iter(cache))]
-    cache[key] = value
-    return value
 
 
 def _capped(M: int) -> int:
@@ -216,10 +213,8 @@ class _ExactRing:
         den, strip = t1.fields.reduce_in_lowest_terms(data, t1.den * t2.den)
         return _Tensor(axes, den, data, t1.bits + t2.bits + extra - strip, t1.fields)
 
-    def contract_z(self, phase: Phase, z: "_Tensor", t: "_Tensor", axes, layout,
-                   z_first: bool) -> "_Tensor":
-        """``contract`` with the Z leaf ``z`` of ``phase``: its v1, u = +-X^k,
-        is a shift."""
+    def contract_z(self, z: "_Tensor", t: "_Tensor", axes, layout, z_first: bool) -> "_Tensor":
+        """``contract`` with the Z leaf ``z``: its v1, u = +-X^k, is a shift."""
         base, hi, nz, rows = _z_view(layout, z_first)
         if nz == 1 and t.bits + 1 > t.fields.limit:
             t, = self.fit((t,), 1)
@@ -243,7 +238,7 @@ class _ExactRing:
         if s.fields is not x.fields or s.bits + x.bits + summed > s.fields.limit:
             s, x = self.fit((_Tensor(None, s.den, _two_values(s), s.bits, s.fields, s.spider),
                              x), summed)
-        data = _absorb(s, x, size, _times)
+        data = _absorb(s, x, size)
         den, strip = s.fields.reduce_in_lowest_terms(data, s.den * x.den)
         return _Tensor(None, den, data, s.bits + x.bits + summed - strip, s.fields,
                        s.spider if size > 1 else None)
@@ -254,13 +249,9 @@ class _ExactRing:
         return SemanticMatrix._packed(den, data, fields, n_in, n_out)
 
 
-_RING_CACHE: dict[int, _ExactRing] = {}
-
-
+@lru_cache(maxsize=MODULUS_CACHE_SIZE)
 def _exact_ring(modulus: int) -> _ExactRing:
-    if (ring := _RING_CACHE.get(modulus)) is None:
-        ring = _bounded_put(_RING_CACHE, modulus, _ExactRing(_capped(modulus)), RING_CACHE_SIZE)
-    return ring
+    return _ExactRing(_capped(modulus))  # a refused modulus raises, so is not cached
 
 
 class _FloatRing:
@@ -284,27 +275,6 @@ class _FloatRing:
     @staticmethod
     def contract(t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
         return _Tensor(axes, 1, _products(t1.data, t2.data, *layout, complex(0)))
-
-    @staticmethod
-    def contract_z(phase: Phase, z: "_Tensor", t: "_Tensor", axes, layout,
-                   z_first: bool) -> "_Tensor":
-        """``contract`` with a Z leaf ``z``: ``_products``' multiplies by its
-        ``one`` and u, zero skips and sums (complex products commute exactly)."""
-        base, hi, nz, rows = _z_view(layout, z_first)
-        (one, u), d, zero = _two_values(z), t.data, complex(0)
-        lows = [v * one if (v := d[o]) else zero for o in base]
-        ones = [v * u if (v := d[o + hi]) else zero for o in base]
-        if nz == 1:  # ``zero`` itself marks a skipped product
-            return _Tensor(axes, 1, [b if a is zero else a if b is zero else a + b
-                                     for a, b in zip(lows, ones)])
-        data = [zero] * (nz * len(base))
-        data[rows[0]], data[rows[1]] = lows, ones
-        return _Tensor(axes, 1, data)
-
-    @staticmethod
-    def absorb(s: "_Tensor", x: "_Tensor", size: int) -> "_Tensor":
-        return _Tensor(None, 1, _absorb(s, x, size, operator.mul), 0, None,
-                       s.spider if size > 1 else None)
 
     @staticmethod
     def matrix(den: int, data: list, fields, n_in: int, n_out: int):
@@ -352,7 +322,7 @@ class _Tensor:
     A packed tensor is in lowest terms: ``den`` is 1 or some coefficient of
     some entry is odd.  ``_ExactRing.pack`` strips each leaf once, when it
     is built, and each contraction strips its result.  ``spider`` is Z or X
-    while ``interpret`` holds the tensor as a spider with legs, whose
+    while ``interpret`` holds an exact tensor as a spider with legs, whose
     ``data`` may be only its two values (``_dense``)."""
 
     __slots__ = ("axes", "den", "data", "bits", "fields", "spider")
@@ -384,24 +354,24 @@ def _times(a: int, b: int) -> int:
     return p if b > 0 else -p
 
 
-def _absorb(s: _Tensor, x: _Tensor, size: int, mul) -> list:
-    """The values of the spider ``s`` after it absorbs the rank-1 ``x``,
-    ``size`` patterns left; ``mul`` multiplies two of the ring's values."""
+def _absorb(s: _Tensor, x: _Tensor, size: int) -> list:
+    """The packed values of the spider ``s`` after it absorbs the rank-1
+    ``x``, ``size`` patterns left."""
     (v0, v1), (x0, x1) = _two_values(s), x.data
     if size == 1:
-        return [mul(v0, x0) + mul(v1, x1)]
+        return [_times(v0, x0) + _times(v1, x1)]
     if s.spider == Z:
-        return [mul(v0, x0), mul(v1, x1)]
-    return [mul(v0, x0) + mul(v1, x1), mul(v1, x0) + mul(v0, x1)]
+        return [_times(v0, x0), _times(v1, x1)]
+    return [_times(v0, x0) + _times(v1, x1), _times(v1, x0) + _times(v0, x1)]
 
 
-def _dense(t: _Tensor, size: int, zero) -> _Tensor:
+def _dense(t: _Tensor, size: int) -> _Tensor:
     """``t`` with all ``size`` entries; PARITY ones are built by doubling."""
     if len(t.data) == size:
         return t
     v0, v1 = _two_values(t)
     if t.spider == Z:
-        data = [v0] + [zero] * (size - 2) + [v1]
+        data = [v0] + [0] * (size - 2) + [v1]
     else:
         data, odd = [v0], [v1]
         while len(data) < size:
@@ -437,8 +407,9 @@ def _leaf_tensor(kind: NodeKind, degree: int, ring) -> tuple:
         return _spider_tensor_fresh(kind, degree, ring)
     key = (ring.modulus, kind.kind, kind.phase, degree)
     if (packed := _TENSOR_CACHE.get(key)) is None:
-        packed = _bounded_put(_TENSOR_CACHE, key, _spider_tensor_fresh(kind, degree, ring),
-                              TENSOR_CACHE_SIZE)
+        if len(_TENSOR_CACHE) >= TENSOR_CACHE_SIZE:  # drop the oldest
+            del _TENSOR_CACHE[next(iter(_TENSOR_CACHE))]
+        packed = _TENSOR_CACHE[key] = _spider_tensor_fresh(kind, degree, ring)
     return packed
 
 
@@ -785,12 +756,11 @@ def _program(d: Diagram, axes_list: list, max_rank: int) -> tuple:
     if n == 2:  # one step, rebuilt per call: lists will do
         final, layout = _pair_layout(*axes_list)
         steps = [(0, 1, layout)]
-    else:  # no step, or ones to store: one tuple per distinct offset list and layout
-        pool, shared, steps = dict(enumerate(axes_list)), {}, []
+    else:  # no step, or ones to store as tuples
+        pool, steps = dict(enumerate(axes_list)), []
         for new, (i, j) in enumerate(plan.steps, n):
             pool[new], layout = _pair_layout(pool.pop(i), pool.pop(j))
-            layout = tuple([shared.setdefault(t, t) for t in map(tuple, layout)])
-            steps.append((i, j, shared.setdefault(layout, layout)))
+            steps.append((i, j, tuple(map(tuple, layout))))
         final = pool.popitem()[1] if pool else ()
     # a valid diagram's ports are exactly the open axes, each once
     order = (_offsets(final, [f"p:{p}" for p in d.outputs]),
@@ -800,8 +770,6 @@ def _program(d: Diagram, axes_list: list, max_rank: int) -> tuple:
     # drop the oldest; list() and pop() hold when threads share the memo
     while sum(len(k[0]) for k in list(_PROGRAM_CACHE)) + n > PROGRAM_CACHE_LEAVES:
         _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE), None), None)
-    # axis names shared by all programs
-    key = (tuple([tuple([sys.intern(a) for a in axes]) for axes in key[0]]),) + key[1:]
     _PROGRAM_CACHE[key] = prog = tuple(steps), plan.peak_rank, tuple(map(tuple, order))
     return prog
 
@@ -823,7 +791,8 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
     pool = {i: _Tensor(axes, *_leaf_tensor(kind, len(axes), ring))
             for i, (kind, axes) in enumerate(leaves)}
     n = len(leaves)
-    if n > 2:  # the one step of two leaves makes the final, dense matrix at once
+    exact = ring is not _FLOAT_RING  # spider steps are the exact kernel's alone
+    if exact and n > 2:  # the one step of two leaves makes the final, dense matrix at once
         for i, (kind, axes) in enumerate(leaves):
             if axes and kind.kind != H:
                 pool[i].spider = kind.kind
@@ -833,20 +802,22 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
             pool[new] = ring.absorb(t1, t2, len(layout[0]))
         elif t2.spider and len(layout[2]) == 2 and len(layout[0]) == 1:
             pool[new] = ring.absorb(t2, t1, len(layout[1]))
+        elif not exact:
+            pool[new] = ring.contract(t1, t2, None, layout)
         else:
             if j >= n:  # i < j: leaves are dense, a spider that absorbed states may not be
                 b1, b2, sh1, sh2 = layout
-                t1 = _dense(t1, len(b1) * len(sh1), ring.zero)
-                t2 = _dense(t2, len(b2) * len(sh2), ring.zero)
-            if i < n and t1.axes and (kind := leaves[i][0]).kind == Z:
-                pool[new] = ring.contract_z(kind.phase, t1, t2, None, layout, True)
-            elif j < n and t2.axes and (kind := leaves[j][0]).kind == Z:
-                pool[new] = ring.contract_z(kind.phase, t2, t1, None, layout, False)
+                t1 = _dense(t1, len(b1) * len(sh1))
+                t2 = _dense(t2, len(b2) * len(sh2))
+            if i < n and t1.axes and leaves[i][0].kind == Z:
+                pool[new] = ring.contract_z(t1, t2, None, layout, True)
+            elif j < n and t2.axes and leaves[j][0].kind == Z:
+                pool[new] = ring.contract_z(t2, t1, None, layout, False)
             else:
                 pool[new] = ring.contract(t1, t2, None, layout)
     final = pool.popitem()[1] if pool else _Tensor([], *ring.pack(1, [ring.one]))
     if final.spider:
-        final = _dense(final, len(order[0]) * len(order[1]), ring.zero)
+        final = _dense(final, len(order[0]) * len(order[1]))
     return _matrix(final, ring, *order)
 
 

@@ -36,6 +36,12 @@ class RuleError(ValueError):
 # would hang; the bundled scripts and sweeps use at most 3.
 MAX_ARITY = 1024
 
+# The largest arity a sweep enumerates.  A sweep builds every arity layout up
+# to it (S1 alone has 3 C(c + 4, 4) at c >= 3: 105 at 3, 5,460 at 12), and its
+# time about doubles with each step: ``suite soundness`` takes 4 s at 3 and
+# 27 s at 6 (CPython 3.11, one x86 core).  Criterion 01 sweeps at 3.
+MAX_SWEEP_ARITY = 6
+
 
 @dataclass(frozen=True)
 class RuleSchema:
@@ -589,6 +595,8 @@ def _check_grids(max_arity: int, grid_den: int, n_random: int = 0) -> None:
         raise RuleError(f"random draw count {n_random} is negative")
     if max_arity > MAX_ARITY:
         raise RuleError(f"max arity {max_arity} above cap {MAX_ARITY}")
+    if max_arity > MAX_SWEEP_ARITY:
+        raise RuleError(f"max arity {max_arity} above sweep cap {MAX_SWEEP_ARITY}")
     M = math.lcm(8, 2 * grid_den)
     if M > MAX_MODULUS:
         raise RuleError(f"angle grid pi/{grid_den} needs modulus {M}, above cap {MAX_MODULUS}")

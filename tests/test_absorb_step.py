@@ -1,11 +1,11 @@
-"""The absorb step (``absorb``) against the dense contraction of the same
-pair (``_contract_pair`` over the spider's entries, built here by popcount),
-its oracle: the same ring element over the same denominator in the exact
-ring, with a bound that holds and fields widened when the bound needs it;
-within 1e-12 in the float ring.  Spiders of 1 to 8 legs are drawn at M = 8,
-24 and 312, COPY (Z) and PARITY (X), as leaves or held by two values, with
-monomial (Z) and other states on either side; SUP_n's left sides are run
-with and without absorb steps."""
+"""The exact kernel's absorb step (``absorb``) against the dense contraction
+of the same pair (``_contract_pair`` over the spider's entries, built here by
+popcount), its oracle: the same ring element over the same denominator, with
+a bound that holds and fields widened when the bound needs it.  Spiders of 1
+to 8 legs are drawn at M = 8, 24 and 312, COPY (Z) and PARITY (X), as leaves
+or held by two values, with monomial (Z) and other states on either side;
+SUP_n's left sides are run with and without absorb steps and against the
+float backend, which runs no spider step."""
 
 import importlib
 from unittest import mock
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from zxexact.cyclotomic import _norm_bits
 from zxexact.diagram import X, Z, NodeKind, PiRational
-from zxexact.interpret import interpret
+from zxexact.interpret import interpret, matrix_compare, plan_contraction
 from zxexact.rules import instantiate
 
 interp = importlib.import_module("zxexact.interpret")
@@ -124,38 +124,6 @@ def test_absorb_widens_fields_that_the_bound_outgrows(colour):
     assert max(_norms(fast)) <= 2 ** fast.bits <= 2 ** fast.fields.limit
 
 
-@given(st.sampled_from(MODULI), st.sampled_from((Z, X)), st.data())
-@settings(max_examples=300, deadline=None)
-def test_float_absorb_is_the_dense_contraction(M, colour, data):
-    ring = interp._FLOAT_RING
-    axes, leg, state_first = _pair(data, colour)
-    parts = st.floats(-4, 4)
-    values = st.lists(st.builds(complex, parts, parts), min_size=2, max_size=2)
-    if data.draw(st.booleans(), label="leaf"):
-        phase = PiRational(data.draw(st.integers(0, M - 1), label="j") * 2, M)
-        dense = interp._leaf_tensor(NodeKind(colour, phase), len(axes), ring)[1]
-        v0, v1 = dense[0], dense[-1] if colour == Z else dense[1]
-        spider = interp._Tensor(axes, 1, dense, spider=colour)
-    else:
-        v0, v1 = data.draw(values, label="spider values")
-        spider = interp._Tensor(axes, 1, [v0, v1], spider=colour)
-    state_kind = data.draw(st.sampled_from((Z, X, None)), label="state")
-    if state_kind is None:
-        x = data.draw(values, label="state values")
-    else:
-        x = interp._leaf_tensor(NodeKind(state_kind, PiRational(data.draw(
-            st.integers(0, M - 1), label="state j") * 2, M)), 1, ring)[1]
-    dense = interp._Tensor(axes, 1, _spider_entries(colour, v0, v1, len(axes), complex(0)))
-    state = interp._Tensor([leg], 1, list(x))
-    generic = interp._contract_pair(*((state, dense) if state_first else (dense, state)), ring)
-    size = 1 << (len(axes) - 1)
-    fast = ring.absorb(spider, state, size)
-    entries = (_spider_entries(colour, *fast.data, len(axes) - 1, complex(0)) if size > 1
-               else fast.data)
-    assert len(entries) == len(generic.data)
-    assert all(abs(a - b) <= 1e-12 for a, b in zip(entries, generic.data))
-
-
 def _dense_only(ring):
     """Patch ``ring`` so that every absorb step contracts the spider's dense
     entries instead."""
@@ -185,8 +153,20 @@ def test_sup_n_left_sides_absorb_every_state(n, swap):
     assert exact.entries == dense.entries
     if exact._kernel[2] is dense._kernel[2]:
         assert exact._kernel == dense._kernel
-    flt = interpret(lhs, "float")
-    with _dense_only(interp._FLOAT_RING):
-        flt_dense = interpret(lhs, "float")
-    assert all(abs(a - b) <= 1e-12 for a, b in zip(flt.entries[0] + flt.entries[1],
-                                                    flt_dense.entries[0] + flt_dense.entries[1]))
+    assert matrix_compare(exact, interpret(lhs, "float"))
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["plain", "swapped"])
+def test_float_backend_runs_only_the_product_loop(swap):
+    # the float backend is an oracle for the exact kernel's spider steps, so
+    # it must not share them: SUP_13's left side, where the exact kernel
+    # absorbs every state, runs one ``_products`` per planned step
+    lhs = instantiate("SUPn", {"n": 13, "alpha": PiRational(1, 12)}, swap).lhs
+    with mock.patch.object(interp, "_absorb", wraps=interp._absorb) as absorb, \
+            mock.patch.object(interp, "_two_values", wraps=interp._two_values) as two_values, \
+            mock.patch.object(interp, "_products", wraps=interp._products) as products:
+        interpret(lhs, "float")
+        assert absorb.call_count == two_values.call_count == 0
+        assert products.call_count == len(plan_contraction(lhs).steps)
+        interpret(lhs)
+    assert absorb.call_count >= 13 and two_values.call_count > 0

@@ -164,6 +164,9 @@ def test_mutated_bundled_inputs_never_raise(name, data):
     (["suite", "soundness", "--max-arity", "-1"], "max arity -1 is negative"),
     (["suite", "soundness", "--random", "-5"], "random draw count -5 is negative"),
     (["witness", "supnec", "--p", "-3"], "p must be >= 2, got -3"),
+    # a sweep too large to finish
+    (["suite", "soundness", "--max-arity", "1024"], "max arity 1024 above sweep cap 6"),
+    (["suite", "invariants", "--max-arity", "12"], "max arity 12 above sweep cap 6"),
 ])
 def test_oversized_flags_exit_two_before_any_grid_or_field(argv, message, monkeypatch, capsys):
     def refuse(*args, **kwargs):

@@ -252,8 +252,7 @@ def test_module_caches_stay_bounded():
     for k in range(1, cyclotomic.MODULUS_CACHE_SIZE + 3):
         state = node_tensor(zspider(PiRational(1, 4 * k)), 0, 1, modulus=8 * k)
         hash(state.entries[1][0])
-    assert len(interp._RING_CACHE) <= interp.RING_CACHE_SIZE
-    for cache in (cyclotomic.cyclotomic_polynomial, cyclotomic._phi_tail,
+    for cache in (interp._exact_ring, cyclotomic.cyclotomic_polynomial, cyclotomic._phi_tail,
                   cyclotomic._hash_weights):
         assert cache.cache_info().currsize <= cyclotomic.MODULUS_CACHE_SIZE
     # more distinct leaf tensors than the tensor cache holds, at one modulus

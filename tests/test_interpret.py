@@ -166,12 +166,16 @@ def test_modulus_cap_rejects_a_field_before_building_it():
     d.nodes["x"] = xspider(PiRational(1, 99991))
     d.add_edge("x", "x")
     built = cyclotomic_polynomial.cache_info().misses
+    rings = interp._exact_ring.cache_info().currsize
     with pytest.raises(ResourceLimitError, match="modulus 799928 exceeds cap"):
         interpret(d)
     with pytest.raises(ResourceLimitError):
         node_tensor(zspider(PiRational(1, 4)), 0, 1, modulus=2 * interp.MAX_MODULUS)
     assert cyclotomic_polynomial.cache_info().misses == built
-    assert all(M <= interp.MAX_MODULUS for M in interp._RING_CACHE)
+    # a refused modulus keeps no ring, so asking again is refused again
+    assert interp._exact_ring.cache_info().currsize == rings
+    with pytest.raises(ResourceLimitError):
+        interp._exact_ring(2 * interp.MAX_MODULUS)
     # each matrix within the cap, the field of both beyond it
     a = node_tensor(zspider(PiRational(1, 257)), 0, 1)
     b = node_tensor(zspider(PiRational(1, 263)), 0, 1)

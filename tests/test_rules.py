@@ -140,6 +140,22 @@ def test_empty_sweeps_are_refused(kwargs, message):
         soundness_suite("ZX", n_random=-5)
 
 
+@pytest.mark.parametrize("max_arity", [rules_module.MAX_SWEEP_ARITY + 1, 12, 1024])
+def test_sweeps_past_the_sweep_cap_are_refused_before_any_grid(max_arity, monkeypatch):
+    # S1 alone has 5,460 arity layouts at 12; at 1,024 they would fill memory
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(rules_module, "ruleset_schemas", refuse)
+    monkeypatch.setattr(rules_module, "_angle_grid", refuse)
+    message = f"max arity {max_arity} above sweep cap {rules_module.MAX_SWEEP_ARITY}"
+    with pytest.raises(RuleError, match=message):
+        soundness_suite("ZX", max_arity=max_arity, n_random=3)
+    with pytest.raises(RuleError, match=message):
+        invariant_preservation_check("ZX_cyclo", max_arity=max_arity)
+    rules_module._check_grids(rules_module.MAX_SWEEP_ARITY, 4)  # the cap itself is swept
+
+
 def test_invariant_preservation_zx():
     report = {e.rule: e.preserving for e in invariant_preservation_check(
         "ZX", max_arity=2, grid_den=2)}

@@ -30,8 +30,7 @@ The products of an output entry are bigint multiplies summed into one int,
 reduced modulo X^(M/2) + 1 by a biased mask, a shift and a subtraction;
 lowest terms take a parity mask and a shift.  A bound on each tensor's
 values keeps every field from spilling into the next, widening the fields
-when needed.  Leaves are built in the ring itself (``_ExactRing``) and
-cached.
+when needed.  Leaves are built in the ring itself (``_ExactRing``).
 
 ``interpret`` returns a ``SemanticMatrix`` that keeps the final
 denominator and packed entries; it reduces an entry modulo Phi_M into a
@@ -39,21 +38,21 @@ denominator and packed entries; it reduces an entry modulo Phi_M into a
 M that reduction does nothing.  ``matrix_compare`` decides two matrices of
 identical kernel form equal without making any scalar.
 
-While a Z or X tensor is a spider (a leaf, or one that has absorbed
-states) it is held by two values: v0 at all-zeros and v1 at all-ones for Z
-(COPY), v0 on even patterns and v1 on odd ones for X (PARITY).  A step
-meeting it with a rank-1 (x0, x1) on one leg is an absorb step: COPY
-becomes (v0 x0, v1 x1), PARITY (v0 x0 + v1 x1, v1 x0 + v0 x1), at rank 0
-the sum v0 x0 + v1 x1; a product by a Z state's +-X^k is a shift.  A
-two-leaf program's one step makes the final matrix, so it holds no
-spider.  Other steps expand a spider (a leaf's entries are cached); one
-consuming a Z leaf with legs is a Z step (``contract_z``), the other
-operand's all-zeros shared slice and u = e^(ia) times its all-ones one
-(their sum if the leaf has no free leg), and the rest run the generic
-product loop (``contract``).  Spider steps are the exact kernel's alone:
-the float backend runs every step through the plain product loop, so it
-shares no spider code with the kernel it serves as an oracle for.  The
-modulus is capped at ``MAX_MODULUS``.
+A Z or X spider with legs, leaf or not, is its two values: v0 at
+all-zeros and v1 at all-ones for Z (COPY; a leaf's are 1 and u = e^(ia)),
+v0 on even patterns and v1 on odd ones for X (PARITY; a leaf's are
+(1 +- u)/sqrt2^degree).  Leaves are built and cached in that form; an H box
+keeps its four entries and a spider with no legs its one.  A step meeting a
+spider with a rank-1 (x0, x1) on one leg is an absorb step: COPY becomes
+(v0 x0, v1 x1), PARITY (v0 x0 + v1 x1, v1 x0 + v0 x1), at rank 0 the sum
+v0 x0 + v1 x1; a product by a Z state's +-X^k is a shift.  One consuming a
+Z leaf otherwise is a Z step (``contract_z``), the other operand's
+all-zeros shared slice and u times its all-ones one (their sum if the leaf
+has no free leg), and the rest expand their spiders (``_dense``) and run
+the generic product loop (``contract``).  Spider steps are the exact
+kernel's alone: the float backend expands its leaves and runs every step
+through the plain product loop, so it shares no spider step with the kernel
+it serves as an oracle for.  The modulus is capped at ``MAX_MODULUS``.
 ``backend_for`` is the one exactness policy: EXACT when every phase is
 exact, FLOAT otherwise.
 """
@@ -93,16 +92,16 @@ class ResourceLimitError(RuntimeError):
 # ---------------------------------------------------------------------------
 # scalar backends
 # ---------------------------------------------------------------------------
-# A ring builds leaf tensors from its leaf scalars (``one``, ``zero``,
-# ``phase``, ``inv_sqrt2_pow`` and ``mul``) and stores tensors in its own
-# form: ``pack`` turns a leaf's denominator and scalars into the ``_Tensor``
-# fields after the axes (``den``, ``data`` and, for exact tensors, ``bits``
-# and ``fields``), ``contract`` runs a pairwise contraction's inner loop
-# (``_products``) and ``matrix`` makes the final ``SemanticMatrix``.  The
-# float ring stores plain complex numbers and has nothing more; the exact
-# ring stores packed ints (``cyclotomic.FieldLayout``) and also runs the
-# spider steps: ``contract_z`` a Z step's (reading u from the leaf's two
-# values, as ``absorb`` reads a spider's) and ``absorb`` an absorb step's.
+# A ring builds leaf tensors from its leaf scalars (``one``, ``phase``,
+# ``inv_sqrt2_pow`` and ``mul``) and stores tensors in its own form:
+# ``pack`` turns a leaf's denominator and scalars (a spider's two values)
+# into the ``_Tensor`` fields after the axes (``den``, ``data``, ``bits``,
+# ``fields`` and ``spider``), ``contract`` runs a pairwise contraction's
+# inner loop (``_products``) over dense operands and ``matrix`` makes the
+# final ``SemanticMatrix``.  The float ring stores plain complex numbers and
+# has nothing more; the exact ring stores packed ints
+# (``cyclotomic.FieldLayout``) and also runs the spider steps: ``contract_z``
+# a Z step's (u is the leaf's second value) and ``absorb`` an absorb step's.
 
 # Bounds of the module caches: the four benchmark workloads use at most 10
 # rings (bounded with the other per-modulus caches, by
@@ -150,7 +149,7 @@ class _ExactRing:
     other operand's bound, +1 if it sums two slices, less the 2s divided out;
     an absorb step's is the two bounds' sum, +1 for a PARITY or rank-0 sum."""
 
-    one, zero = 1, 0
+    one = 1
 
     def __init__(self, modulus: int):
         _check_modulus(modulus)
@@ -185,13 +184,11 @@ class _ExactRing:
     def mul(self, a: int, b: int) -> int:
         return self.leaf_fields.reduce(a * b)
 
-    def pack(self, den: int, values) -> tuple:
-        """A leaf's fields in lowest terms; each distinct value is one shared int."""
-        fields = self.leaf_fields
-        distinct = set(values)
-        den, strip = fields.reduce_in_lowest_terms(list(distinct), den)
-        shared = {v: v >> strip for v in distinct}
-        return den, tuple(map(shared.get, values)), fields.bits(shared.values()), fields
+    def pack(self, den: int, values, spider: Optional[str] = None) -> tuple:
+        """A leaf's ``_Tensor`` fields after its axes, in lowest terms."""
+        fields, data = self.leaf_fields, list(values)
+        den, _ = fields.reduce_in_lowest_terms(data, den)
+        return den, tuple(data), fields.bits(data), fields, spider
 
     def fit(self, tensors, extra: int):
         """``tensors`` in one layout whose fields hold a result bounded by
@@ -218,7 +215,7 @@ class _ExactRing:
         base, hi, nz, rows = _z_view(layout, z_first)
         if nz == 1 and t.bits + 1 > t.fields.limit:
             t, = self.fit((t,), 1)
-        d, fields, u = t.data, t.fields, _two_values(z)[1]
+        d, fields, u = t.data, t.fields, z.data[1]
         shift = (abs(u).bit_length() - 1) // z.fields.width * fields.width
         ones = [d[o + hi] << shift for o in base]
         if u < 0:
@@ -236,8 +233,7 @@ class _ExactRing:
         a power of two, such as a Z state's +-X^k, are shifts."""
         summed = s.spider == X or size == 1
         if s.fields is not x.fields or s.bits + x.bits + summed > s.fields.limit:
-            s, x = self.fit((_Tensor(None, s.den, _two_values(s), s.bits, s.fields, s.spider),
-                             x), summed)
+            s, x = self.fit((s, x), summed)
         data = _absorb(s, x, size)
         den, strip = s.fields.reduce_in_lowest_terms(data, s.den * x.den)
         return _Tensor(None, den, data, s.bits + x.bits + summed - strip, s.fields,
@@ -256,7 +252,6 @@ def _exact_ring(modulus: int) -> _ExactRing:
 
 class _FloatRing:
     modulus = None
-    zero = complex(0)
     one = complex(1)
     mul = staticmethod(operator.mul)
 
@@ -269,8 +264,8 @@ class _FloatRing:
         return 1, complex(2 ** (-k / 2.0))
 
     @staticmethod
-    def pack(den: int, values) -> tuple[int, tuple]:
-        return 1, tuple(values)
+    def pack(den: int, values, spider: Optional[str] = None) -> tuple:
+        return 1, tuple(values), 0, None, spider
 
     @staticmethod
     def contract(t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
@@ -283,6 +278,11 @@ class _FloatRing:
                               n_in, n_out, FLOAT)
 
 
+def field_modulus(den: int) -> int:
+    """lcm(8, 2*den), the modulus of the field of e^(i pi k/den) and 1/sqrt2."""
+    return math.lcm(8, 2 * den)
+
+
 def choose_modulus(d: Diagram) -> int:
     """Smallest modulus M = lcm(8, 2*den(phase) for all spider phases);
     raises ``ResourceLimitError`` above ``MAX_MODULUS``."""
@@ -290,7 +290,7 @@ def choose_modulus(d: Diagram) -> int:
     for p in d.phases():
         if not phase_is_exact(p):
             raise BackendError("diagram has a float phase; exact backend unavailable")
-        M = _capped(math.lcm(M, 2 * p.den))
+        M = _capped(math.lcm(M, field_modulus(p.den)))
     return M
 
 
@@ -322,8 +322,8 @@ class _Tensor:
     A packed tensor is in lowest terms: ``den`` is 1 or some coefficient of
     some entry is odd.  ``_ExactRing.pack`` strips each leaf once, when it
     is built, and each contraction strips its result.  ``spider`` is Z or X
-    while ``interpret`` holds an exact tensor as a spider with legs, whose
-    ``data`` may be only its two values (``_dense``)."""
+    for a spider with legs, leaf or not: its ``data`` is then its two values,
+    which ``_dense`` expands."""
 
     __slots__ = ("axes", "den", "data", "bits", "fields", "spider")
 
@@ -335,13 +335,6 @@ class _Tensor:
         self.bits = bits
         self.fields = fields
         self.spider = spider
-
-
-def _two_values(t: _Tensor) -> tuple:
-    """A spider's (v0, v1), dense or not: its first entry and its last (Z) or
-    second (X)."""
-    d = t.data
-    return d[0], d[1] if t.spider == X else d[-1]
 
 
 def _times(a: int, b: int) -> int:
@@ -357,7 +350,7 @@ def _times(a: int, b: int) -> int:
 def _absorb(s: _Tensor, x: _Tensor, size: int) -> list:
     """The packed values of the spider ``s`` after it absorbs the rank-1
     ``x``, ``size`` patterns left."""
-    (v0, v1), (x0, x1) = _two_values(s), x.data
+    (v0, v1), (x0, x1) = s.data, x.data
     if size == 1:
         return [_times(v0, x0) + _times(v1, x1)]
     if s.spider == Z:
@@ -366,38 +359,38 @@ def _absorb(s: _Tensor, x: _Tensor, size: int) -> list:
 
 
 def _dense(t: _Tensor, size: int) -> _Tensor:
-    """``t`` with all ``size`` entries; PARITY ones are built by doubling."""
-    if len(t.data) == size:
+    """The ``size`` entries of a spider ``t`` (COPY with zeros between,
+    PARITY by doubling); any other tensor as it is."""
+    if not t.spider:
         return t
-    v0, v1 = _two_values(t)
+    v0, v1 = t.data
     if t.spider == Z:
         data = [v0] + [0] * (size - 2) + [v1]
     else:
         data, odd = [v0], [v1]
         while len(data) < size:
             data, odd = data + odd, odd + data
-    return _Tensor(t.axes, t.den, data, t.bits, t.fields, t.spider)
+    return _Tensor(t.axes, t.den, data, t.bits, t.fields)
 
 
 def _spider_tensor_fresh(kind: NodeKind, degree: int, ring) -> tuple:
+    """A leaf's ``ring.pack`` fields: an H box's four entries, a spider's
+    two values and colour, or the one entry of a spider with no legs."""
     if kind.kind == H:
         den, s = ring.inv_sqrt2_pow(1)
         return ring.pack(den, (s, s, s, -s))
     ph = ring.phase(kind.phase)
-    size = 1 << degree
-    if kind.kind == Z:
-        data = [ring.zero] * size
-        data[0] = ring.one
-        data[size - 1] += ph  # with no legs, the one entry 1 + e^{ia}
-        return ring.pack(1, data)
-    # X spider: (1/sqrt2)^degree * (1 + e^{ia} * (-1)^popcount)
-    den, scale = ring.inv_sqrt2_pow(degree)
-    plus = ring.mul(scale, ring.one + ph)
-    minus = ring.mul(scale, ring.one - ph)
-    return ring.pack(den, [plus if bin(i).count("1") % 2 == 0 else minus for i in range(size)])
+    if kind.kind == Z:  # 1 at all-zeros, e^{ia} at all-ones
+        den, values = 1, (ring.one, ph)
+    else:  # (1/sqrt2)^degree (1 + e^{ia} (-1)^popcount)
+        den, scale = ring.inv_sqrt2_pow(degree)
+        values = (ring.mul(scale, ring.one + ph), ring.mul(scale, ring.one - ph))
+    if not degree:  # the empty pattern is all-zeros, all-ones and even
+        return ring.pack(den, (sum(values) if kind.kind == Z else values[0],))
+    return ring.pack(den, values, kind.kind)
 
 
-# (modulus, kind, phase, degree) -> a leaf's ``ring.pack`` fields
+# (modulus, kind, phase, degree) -> a leaf's ``ring.pack`` fields (tuples: calls share them)
 _TENSOR_CACHE: dict[tuple, tuple] = {}
 
 
@@ -694,11 +687,12 @@ def node_tensor(kind: NodeKind, n_in: int, n_out: int, backend: str = EXACT,
     if kind.kind == H and (n_in, n_out) != (1, 1):
         raise ValueError("H box is a 1 -> 1 generator")
     if backend == EXACT and modulus is None:
-        modulus = math.lcm(8, 2 * kind.phase.den) if phase_is_exact(kind.phase) else 8
+        modulus = field_modulus(kind.phase.den) if phase_is_exact(kind.phase) else 8
     ring = _exact_ring(modulus) if backend == EXACT else _FLOAT_RING
     # legs ordered inputs then outputs (symmetric tensors make the order moot),
     # so the output bits are the low ones
-    return _matrix(_Tensor(None, *_leaf_tensor(kind, n_in + n_out, ring)), ring,
+    leaf = _Tensor(None, *_leaf_tensor(kind, n_in + n_out, ring))
+    return _matrix(_dense(leaf, 1 << (n_in + n_out)), ring,
                    range(1 << n_out), range(0, 1 << (n_in + n_out), 1 << n_out))
 
 
@@ -790,35 +784,25 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
     steps, _, order = _program(d, [axes for _, axes in leaves], max_rank)
     pool = {i: _Tensor(axes, *_leaf_tensor(kind, len(axes), ring))
             for i, (kind, axes) in enumerate(leaves)}
+    if ring is _FLOAT_RING:  # spider steps are the exact kernel's alone
+        pool = {i: _dense(t, 1 << len(t.axes)) for i, t in pool.items()}
     n = len(leaves)
-    exact = ring is not _FLOAT_RING  # spider steps are the exact kernel's alone
-    if exact and n > 2:  # the one step of two leaves makes the final, dense matrix at once
-        for i, (kind, axes) in enumerate(leaves):
-            if axes and kind.kind != H:
-                pool[i].spider = kind.kind
     for new, (i, j, layout) in enumerate(steps, n):
         t1, t2 = pool.pop(i), pool.pop(j)
-        if t1.spider and len(layout[3]) == 2 and len(layout[1]) == 1:  # t2: rank 1, on t1
-            pool[new] = ring.absorb(t1, t2, len(layout[0]))
-        elif t2.spider and len(layout[2]) == 2 and len(layout[0]) == 1:
-            pool[new] = ring.absorb(t2, t1, len(layout[1]))
-        elif not exact:
-            pool[new] = ring.contract(t1, t2, None, layout)
+        b1, b2, sh1, sh2 = layout
+        if t1.spider and len(sh2) == 2 and len(b2) == 1:  # t2: rank 1, on t1
+            pool[new] = ring.absorb(t1, t2, len(b1))
+        elif t2.spider and len(sh1) == 2 and len(b1) == 1:
+            pool[new] = ring.absorb(t2, t1, len(b2))
+        elif i < n and t1.spider == Z:  # a Z leaf, not a spider that absorbed states
+            pool[new] = ring.contract_z(t1, _dense(t2, len(b2) * len(sh2)), None, layout, True)
+        elif j < n and t2.spider == Z:
+            pool[new] = ring.contract_z(t2, _dense(t1, len(b1) * len(sh1)), None, layout, False)
         else:
-            if j >= n:  # i < j: leaves are dense, a spider that absorbed states may not be
-                b1, b2, sh1, sh2 = layout
-                t1 = _dense(t1, len(b1) * len(sh1))
-                t2 = _dense(t2, len(b2) * len(sh2))
-            if i < n and t1.axes and leaves[i][0].kind == Z:
-                pool[new] = ring.contract_z(t1, t2, None, layout, True)
-            elif j < n and t2.axes and leaves[j][0].kind == Z:
-                pool[new] = ring.contract_z(t2, t1, None, layout, False)
-            else:
-                pool[new] = ring.contract(t1, t2, None, layout)
+            pool[new] = ring.contract(_dense(t1, len(b1) * len(sh1)),
+                                      _dense(t2, len(b2) * len(sh2)), None, layout)
     final = pool.popitem()[1] if pool else _Tensor([], *ring.pack(1, [ring.one]))
-    if final.spider:
-        final = _dense(final, len(order[0]) * len(order[1]))
-    return _matrix(final, ring, *order)
+    return _matrix(_dense(final, len(order[0]) * len(order[1])), ring, *order)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ catalogue's ``origin`` field.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -23,7 +22,7 @@ from .diagram import (
 )
 from .interpret import (
     DEFAULT_MAX_RANK, DEFAULT_TOLERANCE, EXACT, FLOAT, MAX_MODULUS, CompareResult,
-    ResourceLimitError, interpret, invariant_r, matrix_compare,
+    ResourceLimitError, field_modulus, interpret, invariant_r, matrix_compare,
 )
 
 
@@ -41,6 +40,13 @@ MAX_ARITY = 1024
 # time about doubles with each step: ``suite soundness`` takes 4 s at 3 and
 # 27 s at 6 (CPython 3.11, one x86 core).  Criterion 01 sweeps at 3.
 MAX_SWEEP_ARITY = 6
+
+# The most instances a sweep checks: per schema, its arity layouts x
+# (2 grid)^(angle parameters) x 4 variants, plus the float draws.  Every
+# sweep of arity up to ``MAX_SWEEP_ARITY`` on the pi/4 grid fits, the largest
+# being ZX_cyclo at arity 6 (162,424 instances); the pi/12 grid at arity 3
+# does not (243,112 to 243,288).
+MAX_SWEEP_INSTANCES = 200_000
 
 
 @dataclass(frozen=True)
@@ -584,22 +590,25 @@ class SuiteReport:
         }
 
 
-def _check_grids(max_arity: int, grid_den: int, n_random: int = 0) -> None:
-    """Refuse a sweep that is empty or whose arities or angle field pass a
-    cap, before any grid is built."""
+def _check_grids(max_arity: int, grid_den: int, n_random: int = 0,
+                 names: Iterable[str] = ()) -> None:
+    """Refuse a sweep of the schemas ``names`` that is empty or whose arities,
+    angle field or instance count pass a cap, before any grid is built."""
     if grid_den < 1:
         raise RuleError(f"angle grid pi/{grid_den} is empty: the grid must be at least 1")
     if max_arity < 0:
         raise RuleError(f"max arity {max_arity} is negative")
     if n_random < 0:
         raise RuleError(f"random draw count {n_random} is negative")
-    if max_arity > MAX_ARITY:
-        raise RuleError(f"max arity {max_arity} above cap {MAX_ARITY}")
     if max_arity > MAX_SWEEP_ARITY:
         raise RuleError(f"max arity {max_arity} above sweep cap {MAX_SWEEP_ARITY}")
-    M = math.lcm(8, 2 * grid_den)
+    M = field_modulus(grid_den)
     if M > MAX_MODULUS:
         raise RuleError(f"angle grid pi/{grid_den} needs modulus {M}, above cap {MAX_MODULUS}")
+    size = sum(len(s.arity_grid(max_arity)) * (2 * grid_den) ** len(s.angle_params)
+               * len(_VARIANTS) + n_random for s in map(_BY_NAME.get, names))
+    if size > MAX_SWEEP_INSTANCES:
+        raise RuleError(f"sweep of {size} instances above cap {MAX_SWEEP_INSTANCES}")
 
 
 def _instances(schema: RuleSchema, max_arity: int, grid_den: int) -> Iterable[RuleInstance]:
@@ -629,7 +638,8 @@ def soundness_suite(ruleset: str, max_arity: int = 3, grid_den: int = 4,
     """Check every schema x variant x arity x grid angle exactly, plus
     ``n_random`` float-angle draws per schema at tolerance ``tol``; an empty
     ``schema_names``, or a name outside the rule set, raises ``RuleError``."""
-    _check_grids(max_arity, grid_den, n_random)
+    _check_grids(max_arity, grid_den, n_random, [n for n in RULESETS.get(ruleset, ())
+                                                 if schema_names is None or n in schema_names])
     report = SuiteReport()
     schemas = ruleset_schemas(ruleset)
     if schema_names is not None:  # a selection that checks nothing is refused
@@ -666,7 +676,7 @@ class PreservationEntry:
 def invariant_preservation_check(ruleset: str, max_arity: int = 3,
                                  grid_den: int = 4) -> list[PreservationEntry]:
     """Which rules keep the odd-red-plus-H parity equal on both sides."""
-    _check_grids(max_arity, grid_den)
+    _check_grids(max_arity, grid_den, 0, RULESETS.get(ruleset, ()))
     out = []
     for schema in ruleset_schemas(ruleset):
         bad = next((inst.key() for inst in _instances(schema, max_arity, grid_den)

@@ -22,8 +22,8 @@ from .diagram import (
     tensor_product, xspider, zspider,
 )
 from .interpret import (
-    DEFAULT_TOLERANCE, FLOAT, MAX_MODULUS, backend_for, interpret, invariant_r, is_zero,
-    matrix_compare,
+    DEFAULT_TOLERANCE, FLOAT, MAX_MODULUS, backend_for, field_modulus, interpret, invariant_r,
+    is_zero, matrix_compare,
 )
 from .rules import (
     RuleInstance, _instances, _pair, check_equation, check_soundness, instantiate,
@@ -122,11 +122,11 @@ def witness_sqrt2(ks: Iterable[int] = range(1, 13)) -> WitnessReport:
     for k in ks:  # every k is checked before any field is built
         if k < 1:
             raise ValueError("k must be >= 1")
-        if math.lcm(8, 2 * k) > MAX_MODULUS:
-            raise ValueError(f"k={k} needs modulus {math.lcm(8, 2 * k)}, above cap {MAX_MODULUS}")
+        if (M := field_modulus(k)) > MAX_MODULUS:
+            raise ValueError(f"k={k} needs modulus {M}, above cap {MAX_MODULUS}")
     for k in ks:
         K = 2 * k
-        M = math.lcm(8, K)
+        M = field_modulus(k)
         coords = membership_solve(lift_modulus(sqrt_two(8), M), K)
         member = coords is not None
         expected = k % 4 == 0

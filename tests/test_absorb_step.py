@@ -27,11 +27,11 @@ MODULI = (8, 24, 312)
 COEFFS = (1, -1, 3, -2, 2 ** 29, -(2 ** 30))
 
 
-def _spider_entries(colour, v0, v1, legs, zero):
+def _spider_entries(colour, v0, v1, legs):
     """The dense entries of a COPY (Z) or PARITY (X) spider of two values."""
     size = 1 << legs
     if colour == Z:
-        return [v0 if i == 0 else v1 if i == size - 1 else zero for i in range(size)]
+        return [v0 if i == 0 else v1 if i == size - 1 else 0 for i in range(size)]
     return [v1 if bin(i).count("1") % 2 else v0 for i in range(size)]
 
 
@@ -56,16 +56,17 @@ def _packed(data, ring, count, label):
 
 
 def _exact_spider(data, ring, colour, axes):
-    """(spider, its dense oracle): a leaf of a drawn phase, or two values."""
+    """(spider, its dense oracle): a leaf of a drawn phase, or drawn values."""
     if data.draw(st.booleans(), label="leaf"):
         phase = PiRational(data.draw(st.integers(0, ring.modulus - 1), label="j") * 2,
                            ring.modulus)
-        den, dense, bits, fields = interp._leaf_tensor(NodeKind(colour, phase), len(axes), ring)
-        return (interp._Tensor(axes, den, dense, bits, fields, colour),
-                interp._Tensor(axes, den, list(dense), bits, fields))
-    (v0, v1), bits, fields, den = _packed(data, ring, 2, "spider values")
-    return (interp._Tensor(axes, den, [v0, v1], bits, fields, colour),
-            interp._Tensor(axes, den, _spider_entries(colour, v0, v1, len(axes), 0), bits, fields))
+        den, (v0, v1), bits, fields, spider = interp._leaf_tensor(NodeKind(colour, phase),
+                                                                  len(axes), ring)
+        assert spider == colour
+    else:
+        (v0, v1), bits, fields, den = _packed(data, ring, 2, "spider values")
+    return (interp._Tensor(axes, den, (v0, v1), bits, fields, colour),
+            interp._Tensor(axes, den, _spider_entries(colour, v0, v1, len(axes)), bits, fields))
 
 
 def _exact_state(data, ring, leg):
@@ -77,7 +78,7 @@ def _exact_state(data, ring, leg):
         return [interp._Tensor([leg], den, list(values), bits, fields) for _ in range(2)]
     phase = PiRational(data.draw(st.integers(0, ring.modulus - 1), label="state j") * 2,
                        ring.modulus)
-    den, values, bits, fields = interp._leaf_tensor(NodeKind(kind, phase), 1, ring)
+    den, values, bits, fields, _ = interp._leaf_tensor(NodeKind(kind, phase), 1, ring)
     return [interp._Tensor([leg], den, values, bits, fields) for _ in range(2)]
 
 
@@ -99,7 +100,7 @@ def test_exact_absorb_is_the_dense_contraction(M, colour, data):
     # one leg fewer: two values from rank 2 on, the one sum at rank 0
     assert len(fast.data) == min(size, 2)
     assert fast.spider == (colour if size > 1 else None)
-    entries = _spider_entries(colour, *fast.data, len(axes) - 1, 0) if size > 1 else fast.data
+    entries = _spider_entries(colour, *fast.data, len(axes) - 1) if size > 1 else fast.data
     assert fast.den == generic.den
     assert ([fast.fields.decode(v) for v in entries]
             == [generic.fields.decode(v) for v in generic.data])
@@ -130,8 +131,7 @@ def _dense_only(ring):
     def absorb(s, x, size):
         legs = size.bit_length()
         axes = [f"a{k}" for k in range(legs)]
-        v0, v1 = s.data[0], s.data[-1] if s.spider == Z else s.data[1]
-        dense = interp._Tensor(axes, s.den, _spider_entries(s.spider, v0, v1, legs, ring.zero),
+        dense = interp._Tensor(axes, s.den, _spider_entries(s.spider, *s.data, legs),
                                s.bits, s.fields)
         return interp._contract_pair(dense, interp._Tensor(["a0"], x.den, x.data, x.bits,
                                                            x.fields), ring)
@@ -163,10 +163,9 @@ def test_float_backend_runs_only_the_product_loop(swap):
     # absorbs every state, runs one ``_products`` per planned step
     lhs = instantiate("SUPn", {"n": 13, "alpha": PiRational(1, 12)}, swap).lhs
     with mock.patch.object(interp, "_absorb", wraps=interp._absorb) as absorb, \
-            mock.patch.object(interp, "_two_values", wraps=interp._two_values) as two_values, \
             mock.patch.object(interp, "_products", wraps=interp._products) as products:
         interpret(lhs, "float")
-        assert absorb.call_count == two_values.call_count == 0
+        assert absorb.call_count == 0
         assert products.call_count == len(plan_contraction(lhs).steps)
         interpret(lhs)
-    assert absorb.call_count >= 13 and two_values.call_count > 0
+    assert absorb.call_count >= 13

@@ -155,8 +155,8 @@ def test_mutated_bundled_inputs_never_raise(name, data):
 @pytest.mark.parametrize("argv, message", [
     (["suite", "soundness", "--grid", "100000"], "pi/100000 needs modulus 200000, above cap"),
     (["suite", "invariants", "--grid", "32769"], "pi/32769 needs modulus 262152, above cap"),
-    (["suite", "soundness", "--max-arity", "100000"], "max arity 100000 above cap 1024"),
-    (["suite", "invariants", "--max-arity", "1025"], "max arity 1025 above cap 1024"),
+    (["suite", "soundness", "--max-arity", "100000"], "max arity 100000 above sweep cap 6"),
+    (["suite", "invariants", "--max-arity", "1025"], "max arity 1025 above sweep cap 6"),
     (["witness", "sqrt2", "--k", "4,1000000"], "k=1000000 needs modulus 2000000, above cap"),
     # a sweep that would be empty
     (["suite", "soundness", "--grid", "0"], "angle grid pi/0 is empty"),
@@ -167,6 +167,12 @@ def test_mutated_bundled_inputs_never_raise(name, data):
     # a sweep too large to finish
     (["suite", "soundness", "--max-arity", "1024"], "max arity 1024 above sweep cap 6"),
     (["suite", "invariants", "--max-arity", "12"], "max arity 12 above sweep cap 6"),
+    (["suite", "soundness", "--grid", "1000", "--max-arity", "0"],
+     "sweep of 16024032 instances above cap 200000"),
+    (["suite", "invariants", "--grid", "2000", "--max-arity", "0"],
+     "sweep of 64048032 instances above cap 200000"),
+    (["suite", "soundness", "--random", "1000000", "--max-arity", "0"],
+     "sweep of 12000384 instances above cap 200000"),
 ])
 def test_oversized_flags_exit_two_before_any_grid_or_field(argv, message, monkeypatch, capsys):
     def refuse(*args, **kwargs):

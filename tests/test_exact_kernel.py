@@ -189,7 +189,7 @@ def test_leaves_are_born_in_lowest_terms(modulus):
     kinds = [(hbox(), 2)] + [(NodeKind(colour, PiRational(k, 4)), degree)
                              for colour in (Z, X) for k in range(8) for degree in range(7)]
     for kind, degree in kinds:
-        den, data, _, fields = interp._leaf_tensor(kind, degree, ring)
+        den, data, _, fields, _ = interp._leaf_tensor(kind, degree, ring)
         assert den == 1 or any(c % 2 for v in data for c in fields.decode(v)), (kind, degree)
 
 

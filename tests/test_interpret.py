@@ -108,6 +108,40 @@ def test_node_tensor_generator_table():
         node_tensor(hbox(), 2, 1)
 
 
+@given(st.sampled_from((8, 24, 312)), st.sampled_from((Z, X)), st.integers(1, 8),
+       st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_spider_leaves_are_two_values_that_expand_to_their_entries(M, colour, legs, exact_ring,
+                                                                   data):
+    # a spider leaf is held by its two values; ``_dense``, which node_tensor
+    # and the float backend share, must expand them to the entries built
+    # here apart from it: COPY (Z) by index, PARITY (X) by popcount
+    k = data.draw(st.integers(0, M - 1), label="k")
+    ring = interp._exact_ring(M) if exact_ring else interp._FLOAT_RING
+    leaf = interp._Tensor(None, *interp._leaf_tensor(NodeKind(colour, PiRational(2 * k, M)),
+                                                     legs, ring))
+    assert leaf.spider == colour and len(leaf.data) == 2
+    entries = interp._dense(leaf, 1 << legs).data
+    if exact_ring:
+        got = [leaf.fields.scalar(v, leaf.den) for v in entries]
+        one, zero, u = CycloScalar.one(M), CycloScalar.zero(M), root_of_unity(k, M // 2, M)
+        scale = one
+        for _ in range(legs):
+            scale = scale * sqrt_two(M).scale(Fraction(1, 2))
+    else:
+        got, one, zero, u = entries, 1, 0, cmath.exp(1j * math.pi * 2 * k / M)
+        scale = 2 ** (-legs / 2)
+    size = 1 << legs
+    if colour == Z:
+        expected = [one if i == 0 else u if i == size - 1 else zero for i in range(size)]
+    else:
+        expected = [scale * (one - u if bin(i).count("1") % 2 else one + u) for i in range(size)]
+    if exact_ring:
+        assert got == expected
+    else:
+        assert len(got) == size and all(abs(g - e) < 1e-12 for g, e in zip(got, expected))
+
+
 # -- interpretation of composites ----------------------------------------------
 
 def _e_lhs():

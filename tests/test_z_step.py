@@ -59,7 +59,8 @@ def test_exact_z_step_is_the_generic_contraction(M, data):
     other = interp._Tensor(other_axes, den, [fields.encode(c) for c in coeffs], bits, fields)
     t1, t2 = (z, other) if z_first else (other, z)
     axes, layout = interp._pair_layout(t1.axes, t2.axes)
-    generic = interp._contract_pair(t1, t2, ring)
+    dense = interp._dense(z, 1 << len(z_axes))
+    generic = interp._contract_pair(*((dense, other) if z_first else (other, dense)), ring)
     fast = ring.contract_z(z, other, axes, layout, z_first)
     assert fast.axes == generic.axes and fast.den == generic.den
     assert ([fast.fields.decode(v) for v in fast.data]
@@ -72,8 +73,11 @@ def test_exact_z_step_is_the_generic_contraction(M, data):
 
 
 def _generic_only(ring):
-    """Patch ``ring`` so that every Z step runs the generic loop instead."""
+    """Patch ``ring`` so that every Z step runs the generic loop instead, over
+    the Z leaf's entries."""
     def contract_z(z, t, axes, layout, z_first):
+        b1, b2, sh1, sh2 = layout
+        z = interp._dense(z, len(b1) * len(sh1) if z_first else len(b2) * len(sh2))
         t1, t2 = (z, t) if z_first else (t, z)
         return ring.contract(t1, t2, axes, layout)
     return mock.patch.object(ring, "contract_z", contract_z)

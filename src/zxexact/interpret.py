@@ -11,14 +11,15 @@ than the degree limit.  A port-to-port wire is a phase-0 Z spider of degree
 2, the identity.  Contraction is pairwise, in a greedy order that keeps
 intermediate rank small, with a hard cap; the order is built incrementally,
 rescoring after each merge only the pairs of the new tensor.  A diagram's
-program (the steps, their offset layouts and where the ports sit in the
-result) depends only on its shape: the leaf axes, the port order and the cap.
-Programs of three or more leaves are kept in one memo of at most
+program (steps, offset layouts, port offsets, each leaf's node) and its
+validity depend only on its shape (``_ProgramMemo.key``), not on colours or
+phases.  Programs of three or more leaves are kept in a memo of at most
 ``PROGRAM_CACHE_LEAVES`` leaves, oldest dropped first, so a shape met again
-(SUP_n over an angle grid, one circuit's exact and float runs) is planned
-once; a plan over the cap raises and is not kept.  One- and two-leaf
-programs, nearly every rule-sweep diagram, are rebuilt per call: storing
-them raises the sweep's peak memory past its benchmark bound.
+(SUP_n over an angle grid and its colour swap, one circuit's exact and float
+runs) is validated, named and planned once: a hit builds only the modulus,
+the leaves and the steps.  One- and two-leaf programs, nearly every
+rule-sweep diagram, are rebuilt per call: storing them raises the sweep's
+peak memory past its benchmark bound.
 
 The float backend stores complex entries.  The exact backend has one
 kernel for every modulus M (divisible by 8).  zeta_M^(M/2) = -1, so Phi_M
@@ -45,11 +46,12 @@ v0 on even patterns and v1 on odd ones for X (PARITY; a leaf's are
 keeps its four entries and a spider with no legs its one.  A step meeting a
 spider with a rank-1 (x0, x1) on one leg is an absorb step: COPY becomes
 (v0 x0, v1 x1), PARITY (v0 x0 + v1 x1, v1 x0 + v0 x1), at rank 0 the sum
-v0 x0 + v1 x1; a product by a Z state's +-X^k is a shift.  One consuming a
-Z leaf otherwise is a Z step (``contract_z``), the other operand's
-all-zeros shared slice and u times its all-ones one (their sum if the leaf
-has no free leg), and the rest expand their spiders (``_dense``) and run
-the generic product loop (``contract``).  Spider steps are the exact
+v0 x0 + v1 x1; from ``SHIFT_PRODUCT_MODULUS`` on, a product by a spider
+leaf's value is a few shifts (``_times``).  A step consuming a Z leaf
+otherwise is a Z step (``contract_z``), the other operand's all-zeros
+shared slice and u times its all-ones one (their sum if the leaf has no
+free leg), and the rest expand their spiders (``_dense``) and run the
+generic product loop (``contract``).  Spider steps are the exact
 kernel's alone: the float backend expands its leaves and runs every step
 through the plain product loop, so it shares no spider step with the kernel
 it serves as an oracle for.  The modulus is capped at ``MAX_MODULUS``.
@@ -63,6 +65,7 @@ import cmath
 import heapq
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -72,7 +75,7 @@ from .cyclotomic import (
 )
 from .diagram import (
     Diagram, NodeKind, Phase, PiRational, H, X, Z,
-    ensure_valid, phase_is_exact, phase_radians, zspider,
+    ensure_valid, phase_is_exact, phase_radians, xspider, zspider,
 )
 
 EXACT, FLOAT = "exact", "float"
@@ -96,10 +99,10 @@ class ResourceLimitError(RuntimeError):
 # ``inv_sqrt2_pow`` and ``mul``) and stores tensors in its own form:
 # ``pack`` turns a leaf's denominator and scalars (a spider's two values)
 # into the ``_Tensor`` fields after the axes (``den``, ``data``, ``bits``,
-# ``fields`` and ``spider``), ``contract`` runs a pairwise contraction's
-# inner loop (``_products``) over dense operands and ``matrix`` makes the
-# final ``SemanticMatrix``.  The float ring stores plain complex numbers and
-# has nothing more; the exact ring stores packed ints
+# ``fields``, ``spider`` and ``terms``), ``contract`` runs a pairwise
+# contraction's inner loop (``_products``) over dense operands and ``matrix``
+# makes the final ``SemanticMatrix``.  The float ring stores plain complex
+# numbers and has nothing more; the exact ring stores packed ints
 # (``cyclotomic.FieldLayout``) and also runs the spider steps: ``contract_z``
 # a Z step's (u is the leaf's second value) and ``absorb`` an absorb step's.
 
@@ -117,6 +120,11 @@ MAX_MODULUS = 65536
 # Bits per coefficient field of a packed tensor; a tensor whose coefficient
 # bound outgrows its fields is re-encoded in wider ones (a multiple of this).
 FIELD_WIDTH = 32
+
+# Spider leaves keep their values' terms, for shifts (``_times``), from this
+# modulus on; below it one multiply is as fast as four shifts or faster (0.25
+# against 0.5-0.7 us at M = 24, even at 40, 0.9 against 0.65 at 56; x86-64).
+SHIFT_PRODUCT_MODULUS = 48
 
 
 def _capped(M: int) -> int:
@@ -188,7 +196,9 @@ class _ExactRing:
         """A leaf's ``_Tensor`` fields after its axes, in lowest terms."""
         fields, data = self.leaf_fields, list(values)
         den, _ = fields.reduce_in_lowest_terms(data, den)
-        return den, tuple(data), fields.bits(data), fields, spider
+        wide = spider and self.modulus >= SHIFT_PRODUCT_MODULUS
+        terms = tuple(_leaf_terms(fields, v) for v in data) if wide else None
+        return den, tuple(data), fields.bits(data), fields, spider, terms
 
     def fit(self, tensors, extra: int):
         """``tensors`` in one layout whose fields hold a result bounded by
@@ -199,7 +209,7 @@ class _ExactRing:
         fields = self.fields(sum(t.bits for t in tensors) + extra)
         return [t if t.fields is fields else _Tensor(
                     t.axes, t.den, [fields.encode(t.fields.decode(v)) for v in t.data],
-                    t.bits, fields, t.spider)
+                    t.bits, fields, t.spider, t.terms)
                 for t in tensors]
 
     def contract(self, t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
@@ -229,8 +239,7 @@ class _ExactRing:
         return _Tensor(axes, den, data, t.bits + (nz == 1) - strip, fields)
 
     def absorb(self, s: "_Tensor", x: "_Tensor", size: int) -> "_Tensor":
-        """``_absorb`` of the state ``x`` into the spider ``s``; products by
-        a power of two, such as a Z state's +-X^k, are shifts."""
+        """``_absorb`` of the state ``x`` into the spider ``s``."""
         summed = s.spider == X or size == 1
         if s.fields is not x.fields or s.bits + x.bits + summed > s.fields.limit:
             s, x = self.fit((s, x), summed)
@@ -265,7 +274,7 @@ class _FloatRing:
 
     @staticmethod
     def pack(den: int, values, spider: Optional[str] = None) -> tuple:
-        return 1, tuple(values), 0, None, spider
+        return 1, tuple(values), 0, None, spider, None
 
     @staticmethod
     def contract(t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
@@ -323,39 +332,52 @@ class _Tensor:
     some entry is odd.  ``_ExactRing.pack`` strips each leaf once, when it
     is built, and each contraction strips its result.  ``spider`` is Z or X
     for a spider with legs, leaf or not: its ``data`` is then its two values,
-    which ``_dense`` expands."""
+    which ``_dense`` expands, and from ``SHIFT_PRODUCT_MODULUS`` on a leaf's
+    ``terms`` are their ``_leaf_terms``."""
 
-    __slots__ = ("axes", "den", "data", "bits", "fields", "spider")
+    __slots__ = ("axes", "den", "data", "bits", "fields", "spider", "terms")
 
     def __init__(self, axes: list[str], den: int, data, bits: int = 0,
-                 fields: Optional[FieldLayout] = None, spider: Optional[str] = None):
+                 fields: Optional[FieldLayout] = None, spider: Optional[str] = None, terms=None):
         self.axes = axes
         self.den = den
         self.data = data
         self.bits = bits
         self.fields = fields
         self.spider = spider
+        self.terms = terms
 
 
-def _times(a: int, b: int) -> int:
-    """The packed product a * b; a shift when |b| is a power of two, such as
-    a Z state's +-X^k."""
-    m = abs(b)
-    if not m or m & (m - 1):
+def _leaf_terms(fields: FieldLayout, value: int) -> tuple:
+    """A packed value's non-zero (field, coefficient) pairs: a leaf value's,
+    a product of +-X^j, 1 +- u and the sqrt2 binomial, are at most four."""
+    return tuple((k, c) for k, c in enumerate(fields.decode(value)) if c)
+
+
+def _times(a: int, b, width: int) -> int:
+    """a times b, a packed int or a leaf value's terms: then a's shifted copies,
+    the same int, as a packed value is sum(coefficient << field * width)."""
+    if b.__class__ is int:
         return a * b
-    p = a << m.bit_length() - 1
-    return p if b > 0 else -p
+    p = 0
+    for k, c in b:
+        t = a << k * width
+        p = p + t if c == 1 else p - t if c == -1 else p + c * t
+    return p
 
 
 def _absorb(s: _Tensor, x: _Tensor, size: int) -> list:
     """The packed values of the spider ``s`` after it absorbs the rank-1
-    ``x``, ``size`` patterns left."""
-    (v0, v1), (x0, x1) = s.data, x.data
+    ``x``, ``size`` patterns left.  Each is symmetric in the spider's values
+    and the state's, so the spider's terms serve when the state has none."""
+    swap = s.terms and not x.terms
+    (v0, v1), (x0, x1) = (x.data, s.terms) if swap else (s.data, x.terms or x.data)
+    w = s.fields.width
     if size == 1:
-        return [_times(v0, x0) + _times(v1, x1)]
+        return [_times(v0, x0, w) + _times(v1, x1, w)]
     if s.spider == Z:
-        return [_times(v0, x0), _times(v1, x1)]
-    return [_times(v0, x0) + _times(v1, x1), _times(v1, x0) + _times(v0, x1)]
+        return [_times(v0, x0, w), _times(v1, x1, w)]
+    return [_times(v0, x0, w) + _times(v1, x1, w), _times(v1, x0, w) + _times(v0, x1, w)]
 
 
 def _dense(t: _Tensor, size: int) -> _Tensor:
@@ -392,6 +414,7 @@ def _spider_tensor_fresh(kind: NodeKind, degree: int, ring) -> tuple:
 
 # (modulus, kind, phase, degree) -> a leaf's ``ring.pack`` fields (tuples: calls share them)
 _TENSOR_CACHE: dict[tuple, tuple] = {}
+_PIECES = {Z: zspider(), X: xspider()}  # a chain piece after the first, and a wire (Z)
 
 
 def _leaf_tensor(kind: NodeKind, degree: int, ring) -> tuple:
@@ -585,6 +608,8 @@ class SemanticMatrix:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
+        if self.backend == other.backend == EXACT:  # lifted to one modulus, as compared
+            self, other = _align(self, other)
         return self._key() == other._key()
 
     def __repr__(self) -> str:
@@ -696,17 +721,17 @@ def node_tensor(kind: NodeKind, n_in: int, n_out: int, backend: str = EXACT,
                    range(1 << n_out), range(0, 1 << (n_in + n_out), 1 << n_out))
 
 
-def _tensor_axes(d: Diagram, max_rank: int) -> list[tuple[NodeKind, list[str]]]:
-    """One ``(kind, axes)`` per leaf tensor: the nodes in sorted id order,
-    then one per port-to-port wire.
+def _tensor_axes(d: Diagram, max_rank: int) -> list[tuple]:
+    """One ``(kind, axes, source)`` per leaf tensor: the nodes in sorted id
+    order, then one per port-to-port wire.
 
     Edge k between two nodes shares axis ``e<k>``; an edge end at a port is
     named after the port so the open axis is identifiable.  A self-loop is
     dropped (exact for Z and X spiders; validation refuses an H box's).  A
     spider with more than ``max(3, min(8, max_rank))`` legs becomes a chain
     of that colour joined by fresh axes ``s<j>``, its phase on the first
-    piece and 0 on the rest.  A port-to-port wire is the identity, a phase-0
-    Z spider of degree 2.
+    piece (source: the node id) and 0 on the rest (``(node id,)``).  A
+    port-to-port wire (``()``) is the identity, a phase-0 Z spider of degree 2.
     """
     ports = d.ports()
     node_axes: dict[str, list[str]] = {n: [] for n in d.nodes}
@@ -714,7 +739,7 @@ def _tensor_axes(d: Diagram, max_rank: int) -> list[tuple[NodeKind, list[str]]]:
     for k, (a, b) in enumerate(d.edges):
         a_port, b_port = a in ports, b in ports
         if a_port and b_port:
-            wires.append((zspider(), [f"p:{a}", f"p:{b}"]))
+            wires.append((_PIECES[Z], [f"p:{a}", f"p:{b}"], ()))
         elif a_port:
             node_axes[b].append(f"p:{a}")
         elif b_port:
@@ -725,27 +750,53 @@ def _tensor_axes(d: Diagram, max_rank: int) -> list[tuple[NodeKind, list[str]]]:
     limit = max(3, min(8, max_rank))
     leaves = []
     for n in sorted(d.nodes):
-        kind, axes = d.nodes[n], node_axes[n]
+        kind, axes, source = d.nodes[n], node_axes[n], n
         while len(axes) > limit:
             link = f"s{len(leaves)}"
-            leaves.append((kind, axes[:limit - 1] + [link]))
-            kind, axes = NodeKind(kind.kind, PiRational(0)), [link] + axes[limit - 1:]
-        leaves.append((kind, axes))
+            leaves.append((kind, axes[:limit - 1] + [link], source))
+            kind, axes, source = _PIECES[kind.kind], [link] + axes[limit - 1:], (n,)
+        leaves.append((kind, axes, source))
     return leaves + wires
 
 
-# (leaf axes, inputs, outputs, max_rank) -> (steps (i, j, layout), peak rank,
-# output and input offsets in the result)
-_PROGRAM_CACHE: dict[tuple, tuple] = {}
+class _ProgramMemo(dict):
+    """Programs by ``key``, oldest first: (steps (i, j, layout), peak rank,
+    output and input offsets, each leaf's (source, axes)), ``leaves`` leaves
+    in all.  ``sizes`` counts them by node count, so that most diagrams of
+    one or two nodes (one or two leaves, not stored) build no key."""
+
+    def __init__(self):
+        super().__init__()
+        self.leaves, self.sizes = 0, Counter()
+
+    @staticmethod
+    def key(d: Diagram, max_rank: int) -> tuple:
+        """All that ``d``'s program and validity depend on: the edges in order,
+        the ports, each node id and whether it is an H box, and the cap; no
+        colour, and no phase (a ``NodeKind`` cannot hold a non-finite one)."""
+        return (tuple(d.edges), tuple(d.inputs), tuple(d.outputs),
+                tuple([(n, kind.kind == H) for n, kind in d.nodes.items()]), max_rank)
+
+    def put(self, key: tuple, prog: tuple) -> None:
+        while self and self.leaves + len(prog[3]) > PROGRAM_CACHE_LEAVES:
+            oldest = next(iter(self), None)
+            if (old := self.pop(oldest, None)) is not None:  # None when threads raced
+                self.leaves -= len(old[3])
+                self.sizes[len(oldest[3])] -= 1
+        self[key] = prog
+        self.leaves += len(prog[3])
+        self.sizes[len(key[3])] += 1
 
 
-def _program(d: Diagram, axes_list: list, max_rank: int) -> tuple:
-    """The program of leaves over ``axes_list`` with ``d``'s ports."""
+_PROGRAM_CACHE = _ProgramMemo()
+
+
+def _program(d: Diagram, max_rank: int) -> tuple:
+    """The program of the valid diagram ``d``, with each leaf's (kind, axes,
+    source); stored when it has three to ``PROGRAM_CACHE_LEAVES`` leaves."""
+    leaves = _tensor_axes(d, max_rank)
+    axes_list = [axes for _, axes, _ in leaves]
     n = len(axes_list)
-    if n > 2:  # tuple() of lists: a tuple grown from a guess fills CPython's free lists
-        key = (tuple([tuple(a) for a in axes_list]), tuple(d.inputs), tuple(d.outputs), max_rank)
-        if (prog := _PROGRAM_CACHE.get(key)) is not None:
-            return prog
     plan = _plan_greedy(axes_list, max_rank)
     if n == 2:  # one step, rebuilt per call: lists will do
         final, layout = _pair_layout(*axes_list)
@@ -760,30 +811,34 @@ def _program(d: Diagram, axes_list: list, max_rank: int) -> tuple:
     order = (_offsets(final, [f"p:{p}" for p in d.outputs]),
              _offsets(final, [f"p:{p}" for p in d.inputs]))
     if not 2 < n <= PROGRAM_CACHE_LEAVES:
-        return steps, plan.peak_rank, order
-    # drop the oldest; list() and pop() hold when threads share the memo
-    while sum(len(k[0]) for k in list(_PROGRAM_CACHE)) + n > PROGRAM_CACHE_LEAVES:
-        _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE), None), None)
-    _PROGRAM_CACHE[key] = prog = tuple(steps), plan.peak_rank, tuple(map(tuple, order))
-    return prog
+        return steps, plan.peak_rank, order, leaves
+    _PROGRAM_CACHE.put(_ProgramMemo.key(d, max_rank), (
+        tuple(steps), plan.peak_rank, tuple(map(tuple, order)),
+        tuple([(source, tuple(axes)) for _, axes, source in leaves])))
+    return steps, plan.peak_rank, order, leaves
 
 
 def plan_contraction(d: Diagram, max_rank: int = DEFAULT_MAX_RANK) -> ContractionPlan:
     """The contraction order and peak rank that ``interpret`` follows for ``d``;
     raises ``DiagramError`` for a malformed ``d``, as ``interpret`` does."""
-    ensure_valid(d)
-    steps, peak, _ = _program(d, [axes for _, axes in _tensor_axes(d, max_rank)], max_rank)
-    return ContractionPlan([(i, j) for i, j, _ in steps], peak)
+    prog = _PROGRAM_CACHE.get(_ProgramMemo.key(d, max_rank)) or _program(ensure_valid(d), max_rank)
+    return ContractionPlan([(i, j) for i, j, _ in prog[0]], prog[1])
 
 
 def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK) -> SemanticMatrix:
     """Contract the diagram to its 2^m x 2^n standard-interpretation matrix."""
-    ensure_valid(d)
-    ring = _ring_for(d, backend)
-    leaves = _tensor_axes(d, max_rank)
-    steps, _, order = _program(d, [axes for _, axes in leaves], max_rank)
+    memo = _PROGRAM_CACHE
+    prog = memo.sizes.get(len(d.nodes)) and memo.get(memo.key(d, max_rank))
+    if prog:  # a stored shape: valid and planned; a later chain piece has phase 0
+        ring, nodes = _ring_for(d, backend), d.nodes
+        steps, _, order, sources = prog
+        leaves = [(nodes[s] if s.__class__ is str else _PIECES[nodes[s[0]].kind if s else Z],
+                   axes, s) for s, axes in sources]
+    else:
+        ring = _ring_for(ensure_valid(d), backend)
+        steps, _, order, leaves = _program(d, max_rank)
     pool = {i: _Tensor(axes, *_leaf_tensor(kind, len(axes), ring))
-            for i, (kind, axes) in enumerate(leaves)}
+            for i, (kind, axes, _) in enumerate(leaves)}
     if ring is _FLOAT_RING:  # spider steps are the exact kernel's alone
         pool = {i: _dense(t, 1 << len(t.axes)) for i, t in pool.items()}
     n = len(leaves)

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zxexact.cyclotomic import _norm_bits
-from zxexact.diagram import X, Z, NodeKind, PiRational
+from zxexact.diagram import X, Z, NodeKind, PiRational, hbox
 from zxexact.interpret import interpret, matrix_compare, plan_contraction
 from zxexact.rules import instantiate
+
+from helpers import path_sum
 
 interp = importlib.import_module("zxexact.interpret")
 
@@ -60,12 +62,13 @@ def _exact_spider(data, ring, colour, axes):
     if data.draw(st.booleans(), label="leaf"):
         phase = PiRational(data.draw(st.integers(0, ring.modulus - 1), label="j") * 2,
                            ring.modulus)
-        den, (v0, v1), bits, fields, spider = interp._leaf_tensor(NodeKind(colour, phase),
-                                                                  len(axes), ring)
+        den, (v0, v1), bits, fields, spider, terms = interp._leaf_tensor(
+            NodeKind(colour, phase), len(axes), ring)
         assert spider == colour
     else:
         (v0, v1), bits, fields, den = _packed(data, ring, 2, "spider values")
-    return (interp._Tensor(axes, den, (v0, v1), bits, fields, colour),
+        terms = None
+    return (interp._Tensor(axes, den, (v0, v1), bits, fields, colour, terms),
             interp._Tensor(axes, den, _spider_entries(colour, v0, v1, len(axes)), bits, fields))
 
 
@@ -78,8 +81,8 @@ def _exact_state(data, ring, leg):
         return [interp._Tensor([leg], den, list(values), bits, fields) for _ in range(2)]
     phase = PiRational(data.draw(st.integers(0, ring.modulus - 1), label="state j") * 2,
                        ring.modulus)
-    den, values, bits, fields, _ = interp._leaf_tensor(NodeKind(kind, phase), 1, ring)
-    return [interp._Tensor([leg], den, values, bits, fields) for _ in range(2)]
+    den, values, bits, fields, _, terms = interp._leaf_tensor(NodeKind(kind, phase), 1, ring)
+    return [interp._Tensor([leg], den, values, bits, fields, None, terms) for _ in range(2)]
 
 
 def _norms(t):
@@ -123,6 +126,26 @@ def test_absorb_widens_fields_that_the_bound_outgrows(colour):
     fast = ring.absorb(spider, state, 4)
     assert fast.fields.width == 64 and fast.spider == colour
     assert max(_norms(fast)) <= 2 ** fast.bits <= 2 ** fast.fields.limit
+
+
+@pytest.mark.parametrize("colour", [Z, X])
+def test_absorb_shifts_by_terms_in_fields_the_bound_widened(colour):
+    # as above at M = 312, where the X state carries its terms: ``fit``
+    # re-encodes both operands in 64-bit fields and the terms, kept by field
+    # index, still give the dense contraction's values
+    ring = interp._exact_ring(312)
+    fields = ring.fields(30)
+    big = fields.encode([2 ** 30, -(2 ** 29)] + [0] * 154)
+    spider = interp._Tensor(None, 1, [big, -big], 30, fields, colour)
+    state = interp._Tensor(None, *interp._leaf_tensor(NodeKind(X, PiRational(1, 156)), 1, ring))
+    assert state.terms is not None and state.bits + spider.bits > fields.limit
+    fast = ring.absorb(spider, state, 4)
+    dense = interp._contract_pair(
+        interp._Tensor(["a0", "a1", "a2"], 1, _spider_entries(colour, big, -big, 3), 30, fields),
+        interp._Tensor(["a0"], state.den, state.data, state.bits, state.fields), ring)
+    assert fast.fields.width == 64 and fast.den == dense.den
+    assert ([fast.fields.decode(v) for v in _spider_entries(colour, *fast.data, 2)]
+            == [dense.fields.decode(v) for v in dense.data])
 
 
 def _dense_only(ring):
@@ -169,3 +192,65 @@ def test_float_backend_runs_only_the_product_loop(swap):
         assert products.call_count == len(plan_contraction(lhs).steps)
         interpret(lhs)
     assert absorb.call_count >= 13
+
+
+# -- products by a leaf value as shifts ---------------------------------------------
+
+
+def _leaf_value(data, ring):
+    """A packed leaf value in the ring's leaf fields: a Z or X state's value,
+    an H box's entry, or an X state's value before its factors of 2 are
+    divided out, whose coefficients can be +-2."""
+    source = data.draw(st.sampled_from(("Z state", "X state", "H entry", "unstripped")))
+    phase = PiRational(data.draw(st.integers(0, ring.modulus - 1), label="j") * 2, ring.modulus)
+    if source == "unstripped":
+        sign = data.draw(st.sampled_from((1, -1)), label="sign")
+        return ring.mul(ring.inv_sqrt2_pow(1)[1], ring.one + sign * ring.phase(phase))
+    kind = hbox() if source == "H entry" else NodeKind(source[0], phase)
+    values = interp._leaf_tensor(kind, 2 if source == "H entry" else 1, ring)[1]
+    return data.draw(st.sampled_from(values), label="value")
+
+
+@given(st.sampled_from((8, 24, 104, 312)), st.sampled_from((32, 64)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_shift_product_is_the_multiply(M, width, data):
+    # ``_times`` by a leaf value's terms is the same int as the bigint
+    # multiply, in 32- or 64-bit fields, for dense multiplicands whose fields
+    # take both signs: an unreduced product, as ``absorb`` sums it
+    ring = interp._exact_ring(M)
+    fields = ring.fields(width - 2 - 8)
+    assert fields.width == width
+    value = _leaf_value(data, ring)
+    terms = interp._leaf_terms(ring.leaf_fields, value)
+    coeffs = ring.leaf_fields.decode(value)
+    assert len(terms) <= 4 and all(abs(c) <= 2 for _, c in terms)  # () for a zero value
+    assert all(coeffs[k] == c for k, c in terms) and sum(map(bool, coeffs)) == len(terms)
+    b = fields.encode(coeffs)
+    bound = 2 ** (width - 2 - 8)
+    a = fields.encode(data.draw(st.lists(st.integers(-bound, bound), min_size=M // 2,
+                                         max_size=M // 2), label="multiplicand"))
+    assert interp._times(a, terms, width) == a * b == interp._times(a, b, width)
+
+
+def test_leaf_values_with_a_coefficient_two_have_terms_of_two():
+    ring = interp._exact_ring(104)
+    value = ring.mul(ring.inv_sqrt2_pow(1)[1], ring.one + ring.phase(PiRational(1, 2)))
+    assert sorted(c for _, c in interp._leaf_terms(ring.leaf_fields, value)) == [2]
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["state", "effect"])
+@pytest.mark.parametrize("n", [5, 7, 11])
+def test_colour_swapped_sup_n_shifts_and_is_its_path_sum(n, flip):
+    # the swapped left side is a Z spider fed by X states (1 +- u)/sqrt2: at
+    # M = 120, 168 and 264 every absorb step multiplies by their terms
+    inst = instantiate("SUPn", {"n": n, "alpha": PiRational(1, 12)}, True, flip)
+    assert interp.choose_modulus(inst.lhs) >= interp.SHIFT_PRODUCT_MODULUS
+    for side in (inst.lhs, inst.rhs):
+        with mock.patch.object(interp, "_times", wraps=interp._times) as times:
+            exact = interpret(side)
+        shifted = sum(not isinstance(call.args[1], int) for call in times.call_args_list)
+        assert shifted >= (2 * n if side is inst.lhs else 0)
+        expected = path_sum(side)
+        assert exact.entries == expected
+        assert all(abs(f - e.to_complex()) <= 1e-9 for row_f, row_e in
+                   zip(interpret(side, "float").entries, expected) for f, e in zip(row_f, row_e))

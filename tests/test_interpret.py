@@ -382,6 +382,37 @@ def test_matrix_compare_witness():
         matrix_compare(a, interpret(make_generator("cup")))
 
 
+def test_equality_lifts_exact_matrices_to_one_modulus():
+    # Z(pi/2) lives in Q(zeta_8); the same generator built at M = 24 has the
+    # same value, and == says so as matrix_compare does
+    small = interpret(make_spider(Z, PiRational(1, 2), 1, 1))
+    lifted = node_tensor(zspider(PiRational(1, 2)), 1, 1, modulus=24)
+    assert (small.modulus, lifted.modulus) == (8, 24)
+    assert small == lifted and lifted == small and matrix_compare(small, lifted).equal
+    assert small != node_tensor(zspider(PiRational(1, 6)), 1, 1, modulus=24)
+    floats = interpret(make_spider(Z, PiRational(1, 2), 1, 1), backend="float")
+    assert floats != small and floats == interpret(make_spider(Z, PiRational(1, 2), 1, 1),
+                                                   backend="float")
+    with pytest.raises(TypeError):
+        hash(small)
+
+
+@given(st.sampled_from((Z, X)), st.integers(0, 23), st.integers(0, 23), st.integers(0, 2),
+       st.integers(0, 2), st.sampled_from((1, 2, 3, 5)), st.sampled_from((1, 2, 3, 5)))
+@settings(max_examples=150, deadline=None)
+def test_exact_equality_is_matrix_compare_across_moduli(colour, k1, k2, n_in, n_out, s1, s2):
+    # two exact matrices of one shape, each built in its own phase's field
+    # times a drawn factor: == holds exactly when matrix_compare finds them equal
+    mats = []
+    for k, scale in ((k1, s1), (k2, s2)):
+        kind = NodeKind(colour, PiRational(k, 12))
+        mats.append(node_tensor(kind, n_in, n_out, modulus=scale * interp.field_modulus(
+            kind.phase.den)))
+    a, b = mats
+    assert (a == b) == (b == a) == matrix_compare(a, b).equal
+    assert (a == b) == (k1 == k2)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
 def test_matrix_compare_refuses_a_tolerance_that_is_not_finite_positive(tol):
     for backend in ("float", "exact"):

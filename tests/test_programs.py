@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from zxexact.cyclotomic import CycloScalar, root_of_unity
 from zxexact.diagram import (
-    Diagram, PiRational, scale_angles, transform_variant, xspider, zspider,
+    Diagram, DiagramError, PiRational, hbox, scale_angles, transform_variant, xspider, zspider,
 )
 from zxexact.interpret import ResourceLimitError, interpret, plan_contraction
 from zxexact.rules import RuleInstance, check_soundness, instantiate
@@ -32,7 +32,7 @@ VARIANTS = [(False, False), (True, False), (False, True), (True, True)]
 def memo(request, monkeypatch):
     """A memo of this test's own: ``cold`` stores nothing, ``warm`` keeps
     every shape it plans."""
-    cache: dict = {}
+    cache = interp._ProgramMemo()
     monkeypatch.setattr(interp, "_PROGRAM_CACHE", cache)
     if request.param == "cold":
         monkeypatch.setattr(interp, "PROGRAM_CACHE_LEAVES", 0)
@@ -52,7 +52,15 @@ def chain(k: int, phase=PiRational(1, 4)) -> Diagram:
 
 
 def leaf_axes(d: Diagram, max_rank: int = 16) -> list:
-    return [axes for _, axes in interp._tensor_axes(d, max_rank)]
+    return [axes for _, axes, _ in interp._tensor_axes(d, max_rank)]
+
+
+def stored_leaves(cache) -> list:
+    """The leaf count of each stored program, oldest first; the memo's
+    running total must be their sum."""
+    counts = [len(prog[3]) for prog in cache.values()]
+    assert cache.leaves == sum(counts) and sum(cache.sizes.values()) == len(cache)
+    return counts
 
 
 def max_gap(a, b) -> float:
@@ -147,24 +155,24 @@ def test_shape_planned_within_the_cap_still_raises_under_a_lower_one(memo):
             interpret(d, max_rank=4)
         with pytest.raises(ResourceLimitError):
             plan_contraction(d, max_rank=4)
-    assert all(key[3] == 16 for key in memo)
+    assert all(key[-1] == 16 for key in memo)  # the rank cap closes the key
 
 
 @pytest.mark.parametrize("start", ["cold", "warm"])
 def test_more_shapes_than_the_bound_evict_the_oldest(monkeypatch, start):
-    cache: dict = {}
+    cache = interp._ProgramMemo()
     monkeypatch.setattr(interp, "_PROGRAM_CACHE", cache)
     monkeypatch.setattr(interp, "PROGRAM_CACHE_LEAVES", 20)
     if start == "warm":
         for k in (10, 11):
             interpret(chain(k))
-        assert [len(key[0]) for key in cache] == [11]
+        assert stored_leaves(cache) == [11]
     for k in range(3, 10):
         interpret(chain(k))
-        assert sum(len(key[0]) for key in cache) <= 20
-    assert [len(key[0]) for key in cache] == [8, 9]  # the newest that fit
+        assert sum(stored_leaves(cache)) <= 20
+    assert stored_leaves(cache) == [8, 9]  # the newest that fit
     interpret(chain(25))  # more leaves than the bound: kept out, evicts nothing
-    assert [len(key[0]) for key in cache] == [8, 9]
+    assert stored_leaves(cache) == [8, 9]
     searched = []
     plan_greedy = interp._plan_greedy
     monkeypatch.setattr(interp, "_plan_greedy", lambda *a: searched.append(a) or plan_greedy(*a))
@@ -183,3 +191,87 @@ def test_mutating_a_returned_plan_changes_no_later_plan(memo):
     again = plan_contraction(d)
     assert (again.steps, again.peak_rank) == want and again.steps is not plan.steps
     assert max_gap(interpret(d), interpret(d, backend="float")) < 1e-9
+
+
+def _counting(monkeypatch, *names) -> dict:
+    """Count the calls of the module functions ``names``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(interp, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(interp, name, counted)
+    return calls
+
+
+SHAPE_WORK = ("ensure_valid", "_tensor_axes", "_plan_greedy")
+
+
+def test_a_memo_hit_does_no_shape_work(monkeypatch):
+    monkeypatch.setattr(interp, "_PROGRAM_CACHE", interp._ProgramMemo())
+    calls = _counting(monkeypatch, *SHAPE_WORK)
+    first = interpret(chain(6))
+    assert all(calls.values()) and len(interp._PROGRAM_CACHE) == 1
+    calls.update(dict.fromkeys(SHAPE_WORK, 0))
+    # the same shape with other phases, the other backend and its plan
+    again = chain(6, PiRational(5, 12))
+    assert max_gap(interpret(again), interpret(again, backend="float")) < 1e-9
+    assert plan_contraction(again).steps == plan_contraction(chain(6)).steps
+    assert interpret(chain(6))._kernel == first._kernel
+    assert calls == dict.fromkeys(SHAPE_WORK, 0)
+
+
+def test_colour_swapped_variants_share_one_program(monkeypatch):
+    monkeypatch.setattr(interp, "_PROGRAM_CACHE", interp._ProgramMemo())
+    calls = _counting(monkeypatch, "_plan_greedy")
+    sides = [instantiate("SUPn", {"n": 13, "alpha": PiRational(1, 12)}, swap).lhs
+             for swap in (False, True)]
+    assert sides[0].nodes != sides[1].nodes
+    for side in sides:
+        assert max_gap(interpret(side), interpret(side, backend="float")) < 1e-9
+    assert len(interp._PROGRAM_CACHE) == 1 and calls["_plan_greedy"] == 1
+
+
+def _fresh(d: Diagram):
+    """``d``'s exact matrix planned afresh, with the memo bypassed."""
+    memo = interp._PROGRAM_CACHE
+    interp._PROGRAM_CACHE = interp._ProgramMemo()
+    try:
+        return interpret(d)
+    finally:
+        interp._PROGRAM_CACHE = memo
+
+
+@pytest.mark.parametrize("edit", ["edge", "h box", "port"])
+def test_an_edited_diagram_gets_no_stale_program(memo, edit):
+    d = chain(5)
+    interpret(d)
+    if edit == "edge":
+        d.add_edge("n1", "n3")
+    elif edit == "h box":  # a two-legged spider becomes an H box: same edges and ids
+        d.nodes["n2"] = hbox()
+    else:
+        d.outputs += ("o2",)
+        d.add_edge("n2", "o2")
+    got = interpret(d)
+    assert got.entries == _fresh(d).entries
+    assert max_gap(got, interpret(d, backend="float")) < 1e-9
+    assert (got.rows, got.cols) == ((4, 2) if edit == "port" else (2, 2))
+
+
+def test_an_edit_that_makes_a_stored_shape_malformed_raises(memo):
+    d = chain(5)
+    d.nodes["n2"] = xspider(PiRational(1, 4))
+    d.add_edge("n2", "n4")  # n2 has three legs
+    for _ in range(2):
+        interpret(d)
+        plan_contraction(d)
+    d.nodes["n2"] = hbox()  # an H box of three legs: the stored edges, ports and ids
+    with pytest.raises(DiagramError, match="HBox degree"):
+        interpret(d)
+    with pytest.raises(DiagramError, match="HBox degree"):
+        plan_contraction(d)
+    d.nodes["n2"] = zspider()
+    d.edges.append(("n2", "gone"))  # an edge to no id
+    with pytest.raises(DiagramError, match="orphan endpoint"):
+        interpret(d)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
-from struct import Struct
+from struct import Struct, unpack
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -168,8 +168,8 @@ class FieldLayout:
     The fields hold every value, product or sum of products whose norm is
     at most 2^limit."""
 
-    __slots__ = ("modulus", "n", "width", "limit", "shift", "low", "bias", "half", "parity",
-                 "words")
+    __slots__ = ("modulus", "n", "width", "limit", "shift", "low", "bias", "half", "words",
+                 "slots")
 
     def __init__(self, modulus: int, width: int):
         n = modulus // 2
@@ -180,10 +180,11 @@ class FieldLayout:
         self.low = (1 << self.shift) - 1
         self.bias = ones << (width - 1)  # 2^(width-1) in each field of a product: all >= 0
         self.half = self.bias & self.low  # the same for the n fields of a value
-        self.parity = ones & self.low  # bit 0 of each of n fields
         # 32- and 64-bit fields, the common widths, decode in one call
         code = {32: "I", 64: "Q"}.get(width)
         self.words = Struct(f"<{n}{code}") if code else None
+        # ``row`` by row length, a power of two up to 2^(rank cap): at most 2x the longest
+        self.slots = {1: (self.half, self.bias, self.low, ones & self.low)}
 
     def encode(self, coeffs: Sequence[int]) -> int:
         """The packed int of n coefficients; raises OverflowError for a
@@ -202,7 +203,13 @@ class FieldLayout:
 
     def bits(self, values: Iterable[int]) -> int:
         """The least b >= 0 with norm at most 2^b for each of ``values``."""
-        return max((_norm_bits(self.decode(v)) for v in values if v), default=0)
+        if self.words is None:
+            return max((_norm_bits(self.decode(v)) for v in values if v), default=0)
+        # a biased field, top bit flipped, is a signed word; zip takes n per value
+        half, size, signed = self.half, self.shift // 8, self.words.format[-1].lower()
+        raw = b"".join([((v + half) ^ half).to_bytes(size, "little") for v in values if v])
+        coeffs = map(abs, unpack(f"<{len(raw) // size * self.n}{signed}", raw))
+        return _norm_bits((max(map(sum, zip(*[coeffs] * self.n)), default=0),))
 
     def reduce(self, value: int) -> int:
         """A packed product (2n - 1 fields) modulo X^n + 1: with every field
@@ -210,21 +217,35 @@ class FieldLayout:
         q = value + self.bias
         return (q & self.low) - (q >> self.shift)
 
+    def row(self, count: int) -> tuple[int, int, int, int]:
+        """``half``, ``bias``, ``low`` and bit 0 of each value field, in each of
+        ``count`` slots of 2n fields, the first lowest: a value times values in
+        such slots is the row of their unreduced products."""
+        if (consts := self.slots.get(count)) is None:
+            consts = self.slots[count] = tuple(int.from_bytes(
+                c.to_bytes(self.shift // 4, "little") * count, "little") for c in self.slots[1])
+        return consts
+
     def reduce_in_lowest_terms(self, data: list[int], den: int) -> tuple[int, int]:
-        """``reduce`` every entry of ``data`` in place, then divide the entries
-        and ``den`` by the largest power of two dividing all of them.  Returns
-        the new denominator and the number of factors of 2 divided out.  An
+        """``reduce`` every entry of ``data`` in place, then ``strip`` it.  An
         entry that is already reduced (n fields) is unchanged by ``reduce``,
         so this also brings reduced values to lowest terms."""
         bias, low, shift, half = self.bias, self.low, self.shift, self.half
-        seen = 0  # bit j of field k is set when some entry's coefficient k has bit j set
+        seen = 0
         for k, v in enumerate(data):
             if v:
                 q = v + bias
                 v = data[k] = (q & low) - (q >> shift)
                 seen |= v + half
+        return self.strip(data, den, seen, self.slots[1][3])
+
+    @staticmethod
+    def strip(data: list[int], den: int, seen: int, parity: int) -> tuple[int, int]:
+        """Divide ``data`` (in place) and ``den`` by the largest power of two
+        dividing both, given ``seen`` (below each field's top bit, the OR of its
+        coefficients) and ``parity`` (bit 0 of each field): (den, 2s divided)."""
         strip = 0
-        while not den & 1 and not seen & (self.parity << strip):
+        while not den & 1 and not seen & (parity << strip):
             strip += 1
             den >>= 1
         if strip:

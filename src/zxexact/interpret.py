@@ -27,11 +27,11 @@ divides X^(M/2) + 1 and the negacyclic ring Z[X]/(X^(M/2) + 1) maps onto
 Z[zeta_M]; contraction runs in that ring.  Each tensor has one
 power-of-two denominator and each entry is one Python int holding its M/2
 signed coefficients in fixed-width fields (``cyclotomic.FieldLayout``).
-The products of an output entry are bigint multiplies summed into one int,
-reduced modulo X^(M/2) + 1 by a biased mask, a shift and a subtraction;
-lowest terms take a parity mask and a shift.  A bound on each tensor's
-values keeps every field from spilling into the next, widening the fields
-when needed.  Leaves are built in the ring itself (``_ExactRing``).
+A generic step is one bigint multiply per output row and shared pattern,
+each slot of the row reduced modulo X^(M/2) + 1 by a biased mask, a shift
+and a subtraction; lowest terms take a parity mask and a shift.  A bound on
+each tensor's values keeps every field from spilling into the next,
+widening the fields when needed.  Leaves are built in the ring itself.
 
 ``interpret`` returns a ``SemanticMatrix`` that keeps the final
 denominator and packed entries; it reduces an entry modulo Phi_M into a
@@ -51,10 +51,10 @@ leaf's value is a few shifts (``_times``).  A step consuming a Z leaf
 otherwise is a Z step (``contract_z``), the other operand's all-zeros
 shared slice and u times its all-ones one (their sum if the leaf has no
 free leg), and the rest expand their spiders (``_dense``) and run the
-generic product loop (``contract``).  Spider steps are the exact
-kernel's alone: the float backend expands its leaves and runs every step
-through the plain product loop, so it shares no spider step with the kernel
-it serves as an oracle for.  The modulus is capped at ``MAX_MODULUS``.
+generic step (``contract``).  The float backend expands its leaves and runs
+every step through ``_products``, a per-entry product loop, so it shares no
+step with the kernel it serves as an oracle for.  The modulus is capped at
+``MAX_MODULUS``.
 ``backend_for`` is the one exactness policy: EXACT when every phase is
 exact, FLOAT otherwise.
 """
@@ -100,9 +100,9 @@ class ResourceLimitError(RuntimeError):
 # ``pack`` turns a leaf's denominator and scalars (a spider's two values)
 # into the ``_Tensor`` fields after the axes (``den``, ``data``, ``bits``,
 # ``fields``, ``spider`` and ``terms``), ``contract`` runs a pairwise
-# contraction's inner loop (``_products``) over dense operands and ``matrix``
-# makes the final ``SemanticMatrix``.  The float ring stores plain complex
-# numbers and has nothing more; the exact ring stores packed ints
+# contraction's inner loop over dense operands and ``matrix`` makes the
+# final ``SemanticMatrix``.  The float ring stores plain complex numbers and
+# has nothing more than ``_products``; the exact ring stores packed ints
 # (``cyclotomic.FieldLayout``) and also runs the spider steps: ``contract_z``
 # a Z step's (u is the leaf's second value) and ``absorb`` an absorb step's.
 
@@ -145,17 +145,19 @@ class _ExactRing:
     with d | M and M/d odd; modulo each, X^(M/8) is a primitive 8th root of
     unity, so 1/sqrt2 goes to +-1/sqrt2 and values stay as small as a
     diagram's, over a power-of-two denominator.  Only the factor Phi_M is
-    read, by ``FieldLayout.scalar``.
+    read, by ``FieldLayout.scalar``.  A generic step (``contract``) is one
+    bigint multiply per output row and shared pattern (``FieldLayout.row``).
 
     Each tensor carries a bound ``bits``: no entry's norm
     (``cyclotomic.FieldLayout``) exceeds 2^bits.  It is exact for leaves;
     after a product it is b1 + b2 + the number of shared axes (a sum of
-    2^shared products), less the factors of 2 divided out.  When a result's
-    bound would pass its fields' limit, ``fit`` recomputes the operands'
-    bounds exactly and, if that is not enough, re-encodes them in wider
-    fields, so no field ever spills into its neighbour.  A Z step keeps the
-    other operand's bound, +1 if it sums two slices, less the 2s divided out;
-    an absorb step's is the two bounds' sum, +1 for a PARITY or rank-0 sum."""
+    2^shared products, in each slot of a row), less the 2s divided out.
+    When a result's bound would pass its fields' limit, ``fit`` recomputes
+    the operands' bounds exactly and, if that is not enough, re-encodes them
+    in wider fields, so no field ever spills into its neighbour.  A Z step
+    keeps the other operand's bound, +1 if it sums two slices, less the 2s
+    divided out; an absorb step's is the two bounds' sum, +1 for a PARITY or
+    rank-0 sum."""
 
     one = 1
 
@@ -213,12 +215,35 @@ class _ExactRing:
                 for t in tensors]
 
     def contract(self, t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
-        extra = len(layout[2]).bit_length() - 1  # the number of shared axes
+        b1, b2, sh1, sh2 = layout
+        extra = len(sh1).bit_length() - 1  # the number of shared axes
         if t1.fields is not t2.fields or t1.bits + t2.bits + extra > t1.fields.limit:
             t1, t2 = self.fit((t1, t2), extra)
-        data = _products(t1.data, t2.data, *layout, 0)
-        den, strip = t1.fields.reduce_in_lowest_terms(data, t1.den * t2.den)
-        return _Tensor(axes, den, data, t1.bits + t2.bits + extra - strip, t1.fields)
+        fields, d1, d2, count = t1.fields, t1.data, t2.data, len(b2)
+        half, size, from_bytes = fields.half, fields.shift // 4, int.from_bytes  # size: slot bytes
+        half_r, bias_r, low_r, parity_r = fields.row(count)
+        cols = []
+        for o1, o2 in zip(sh1, sh2):
+            raw = b"".join([(d2[b + o2] + half).to_bytes(size, "little") for b in b2])
+            if col := from_bytes(raw, "little") - half_r:
+                cols.append((o1, col))
+        data, seen = [], 0
+        for base in b1:
+            row = 0
+            for o1, c in cols:
+                if v := d1[base + o1]:
+                    row += v * c
+            if not row:
+                data += [0] * count
+                continue
+            q = row + bias_r  # each field of each slot biased, as in ``FieldLayout.reduce``
+            r = (q & low_r) + half_r - ((q >> fields.shift) & low_r)  # slot k: entry k + half
+            seen |= r  # as ``FieldLayout.reduce_in_lowest_terms`` ORs each entry + half
+            raw = r.to_bytes(count * size, "little")
+            data += [from_bytes(raw[k:k + size // 2], "little") - half
+                     for k in range(0, len(raw), size)]
+        den, strip = fields.strip(data, t1.den * t2.den, seen, parity_r)
+        return _Tensor(axes, den, data, t1.bits + t2.bits + extra - strip, fields)
 
     def contract_z(self, z: "_Tensor", t: "_Tensor", axes, layout, z_first: bool) -> "_Tensor":
         """``contract`` with the Z leaf ``z``: its v1, u = +-X^k, is a shift."""
@@ -504,9 +529,9 @@ def _plan_greedy(axes_list: list[list[str]], max_rank: int) -> ContractionPlan:
     live pair with the least ``(result rank, i, j)`` among pairs sharing an
     axis, or, when none share one, the least ``(|A| + |B|, i, j)``.  An
     index from each axis to its live holders seeds a heap with the sharing
-    pairs; a merge pushes only the new tensor's pairs and drops consumed ones
-    lazily.  Once the heap is empty no live pair shares an axis, and none
-    will again.
+    pairs; a merge pushes the new tensor's pairs, ranked by counting the axes
+    each holder of its axes shares with it, and drops consumed ones lazily.
+    Once the heap is empty no live pair shares an axis, and none will again.
     """
     for axes in axes_list:
         if len(axes) > max_rank:
@@ -524,10 +549,10 @@ def _plan_greedy(axes_list: list[list[str]], max_rank: int) -> ContractionPlan:
     sets: list[Optional[set[str]]] = [set(a) for a in axes_list]
     peak = max(map(len, sets))
 
-    holders: dict[str, set[int]] = {}
+    holders: dict[str, list[int]] = {}  # each live holder once
     for i, s in enumerate(sets):
         for a in s:
-            holders.setdefault(a, set()).add(i)
+            holders.setdefault(a, []).append(i)
     heap = [(len(s ^ sets[j]), i, j) for i, s in enumerate(sets)
             for j in {j for a in s for j in holders[a] if j > i}]
     heapq.heapify(heap)
@@ -540,20 +565,24 @@ def _plan_greedy(axes_list: list[list[str]], max_rank: int) -> ContractionPlan:
         else:
             live = [(len(s), k) for k, s in enumerate(sets) if s is not None]
             i, j = sorted(k for _, k in heapq.nsmallest(2, live))
-        merged = sets[i] ^ sets[j]
+        merged = (si := sets[i]) ^ (sj := sets[j])
         rank = len(merged)
         if rank > max_rank:
             raise ResourceLimitError(f"planned rank {rank} exceeds cap {max_rank}")
         peak = max(peak, rank)
-        for k in (i, j):
-            for a in sets[k]:
-                holders[a].discard(k)
-            sets[k] = None
-        new = len(sets)
-        for k in {k for a in merged for k in holders[a]}:
-            heapq.heappush(heap, (len(merged ^ sets[k]), k, new))
+        sets[i] = sets[j] = None
+        for a in si & sj:  # cancelled
+            holders[a].remove(i)
+            holders[a].remove(j)
+        new, shared = len(sets), {}  # live neighbour k -> |merged & S_k|
         for a in merged:
-            holders[a].add(new)
+            held = holders[a]
+            held.remove(i if a in si else j)
+            for k in held:
+                shared[k] = shared.get(k, 0) + 1
+            held.append(new)
+        for k, c in shared.items():  # |merged ^ S_k|
+            heapq.heappush(heap, (rank + len(sets[k]) - 2 * c, k, new))
         sets.append(merged)
         steps.append((i, j))
     return ContractionPlan(steps, peak)

@@ -338,6 +338,24 @@ def test_reduce_leaves_a_reduced_value_unchanged(M, width, data):
     assert fields.reduce(value) == value
 
 
+@given(st.sampled_from((8, 24, 312)), st.sampled_from((32, 64, 96)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bits_is_the_largest_norm_of_the_decoded_values(M, width, data):
+    # 32- and 64-bit fields take the bound from one unpack of all values, 96-bit
+    # ones decode each value; both are the largest norm's bits, 0 for no norm
+    fields = FieldLayout(M, width)
+    top = 2 ** (width - 1)
+    field = st.sampled_from((0, 1, -1, top - 1, -top)) | st.integers(-top, top - 1)
+    coeffs = data.draw(st.lists(st.lists(field, min_size=fields.n, max_size=fields.n),
+                                max_size=6))
+    values = [fields.encode(c) for c in coeffs] + [0] * data.draw(st.integers(0, 2))
+    assert [fields.decode(v) for v in values[:len(coeffs)]] == coeffs
+    want = max((_norm_bits(fields.decode(v)) for v in values if v), default=0)
+    assert want == max(map(_norm_bits, coeffs), default=0)
+    assert fields.bits(values) == fields.bits(iter(values)) == want
+    assert fields.bits([0] * 3) == fields.bits([]) == 0
+
+
 def test_packed_fields_refuse_a_coefficient_that_does_not_fit():
     fields = FieldLayout(8, 64)
     assert fields.decode(fields.encode([2 ** 63 - 1, -2 ** 63, 0, 1])) == [

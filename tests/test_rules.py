@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zxexact.diagram import NodeKind, PiRational, X
-from zxexact.interpret import EXACT, FLOAT, interpret, invariant_r, matrix_compare
+from zxexact.interpret import (
+    EXACT, FLOAT, ResourceLimitError, interpret, invariant_r, matrix_compare,
+)
 from zxexact.rules import (
     DERIVED_IMPORTED, RULESETS, RuleError, RuleInstance, catalogue,
     check_equation, check_soundness, get_schema, instantiate, invariant_preservation_check,
@@ -251,3 +253,26 @@ def test_check_equation_is_interpret_then_compare(seed, backend):
     got = check_equation(lhs, rhs, backend, 1e-9)
     assert got == want and got.sound == got.equal == bool(got)
     assert (got.witness is None) == got.equal
+
+
+def test_rank_cap_hits_are_skip_entries_in_a_whole_report():
+    # at a cap of 2, S1's spiders of three or more legs are refused: each
+    # refused instance is a SKIP entry carrying the cap's message, and the
+    # report still holds every instance of the population
+    s1 = get_schema("S1")
+    report = soundness_suite("ZX", max_arity=2, grid_den=1, n_random=3, seed=1, max_rank=2,
+                             schema_names=["S1"])
+    assert len(report.entries) == len(s1.arity_grid(2)) * 2 ** len(s1.angle_params) * 4 + 3
+    want = {}
+    for inst in rules_module._instances(s1, 2, 1):
+        try:
+            sound = check_soundness(inst, max_rank=2).sound
+            want[inst.key()] = ("PASS" if sound else "FAIL", None)
+        except ResourceLimitError as exc:
+            want[inst.key()] = ("SKIP", (0, 0, str(exc), ""))
+    assert {e.key: (e.status, e.witness) for e in report.entries if e.backend == EXACT} == want
+    skips = [e for e in report.entries if e.status == "SKIP"]
+    assert skips and {e.witness[2] for e in skips} == {"node tensor rank 3 exceeds cap 2"}
+    assert {e.status for e in report.entries} == {"PASS", "SKIP"}
+    assert not report.all_pass and report.to_json()["all_pass"] is False
+    assert [e["status"] for e in report.to_json()["entries"]] == [e.status for e in report.entries]

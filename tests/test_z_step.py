@@ -3,9 +3,11 @@ contraction (``_contract_pair``), its oracle: the same ring element over the
 same denominator, with a bound that holds.  Pairs are drawn at M = 8, 24 and
 312, with the Z leaf on either side, 0 to 2 free legs, with or without shared
 axes, and operands in 32- or 64-bit fields; whole diagrams with port-to-port
-wires and chain-cut spiders are run both ways.  The float backend has no Z
-step."""
+wires and chain-cut spiders are run both ways.  A summed Z step whose operand
+bound sits at the fields' limit is checked against the path sum.  The float
+backend has no Z step."""
 
+import functools
 import importlib
 import random
 from unittest import mock
@@ -16,12 +18,13 @@ from hypothesis import strategies as st
 
 from zxexact.cyclotomic import _norm_bits
 from zxexact.diagram import (
-    X, Z, NodeKind, PiRational, make_generator, make_spider, sequential_compose, tensor_product,
+    X, Z, Diagram, NodeKind, PiRational, make_generator, make_spider, sequential_compose,
+    tensor_product,
 )
 from zxexact.interpret import ResourceLimitError, interpret
 from zxexact.rules import instantiate
 
-from helpers import random_diagram
+from helpers import path_sum, random_diagram
 
 interp = importlib.import_module("zxexact.interpret")
 
@@ -113,3 +116,39 @@ def test_chain_cut_z_pieces_match_the_generic_loop(n):
     # phase-0 pieces of 8 legs, each met by one-legged X spiders
     alpha = PiRational(1, 12)
     _assert_z_steps_change_nothing(instantiate("SUPn", {"n": n, "alpha": alpha}, True).lhs)
+
+
+def _closed_loop(alpha: PiRational) -> Diagram:
+    """A phase-0 Z spider and a 7pi/4 X spider joined by two edges, each with an
+    X state, and a Z spider of phase ``alpha`` on one more edge to each."""
+    d = Diagram()
+    d.nodes.update({"x0": NodeKind(Z, PiRational(0)), "x1": NodeKind(X, PiRational(7, 4)),
+                    "s0": NodeKind(X, PiRational(1, 4)), "s1": NodeKind(X, PiRational(3, 4)),
+                    "zz": NodeKind(Z, alpha)})
+    for a, b in (("zz", "x0"), ("zz", "x1"), ("x0", "x1"), ("x0", "x1"), ("s0", "x0"),
+                 ("s1", "x1")):
+        d.add_edge(a, b)
+    return d
+
+
+@pytest.mark.parametrize("alpha", [PiRational(1, 4), PiRational(1, 12)], ids=["M=8", "M=24"])
+def test_summed_z_step_refits_an_operand_at_the_limit(alpha, monkeypatch):
+    # in 8-bit fields (limit 6) the rest of the loop is bounded at the limit
+    # when "zz", the last leaf, sums its two slices: the Z step must recompute
+    # that bound (``fit``) before it adds the slices
+    monkeypatch.setattr(interp, "FIELD_WIDTH", 8)
+    monkeypatch.setattr(interp, "_TENSOR_CACHE", {})  # leaves in 8-bit fields
+    monkeypatch.setattr(interp, "_exact_ring", functools.lru_cache(None)(interp._ExactRing))
+    refits, fit = [], interp._ExactRing.fit
+
+    def spy(self, tensors, extra):
+        if len(tensors) == 1:  # only a summed Z step fits one operand
+            refits.append((tensors[0].bits, tensors[0].fields.limit, extra))
+        return fit(self, tensors, extra)
+
+    monkeypatch.setattr(interp._ExactRing, "fit", spy)
+    d = _closed_loop(alpha)
+    exact = interpret(d)
+    assert exact.modulus == (8 if alpha.den == 4 else 24)
+    assert refits == [(6, 6, 1)]
+    assert exact.entries == path_sum(d)

@@ -48,6 +48,10 @@ class ModulusError(ValueError):
 # long run over fresh moduli grow memory without end.
 MODULUS_CACHE_SIZE = 128
 
+# The largest modulus a field is built for (tests use at most 1,040, the
+# benchmark 312); the field of phase 1/99991, M = 799,928, takes seconds.
+MAX_MODULUS = 65536
+
 
 # ---------------------------------------------------------------------------
 # number theory and cyclotomic polynomials (low-to-high integer coefficients)
@@ -239,15 +243,17 @@ class FieldLayout:
                 seen |= v + half
         return self.strip(data, den, seen, self.slots[1][3])
 
-    @staticmethod
-    def strip(data: list[int], den: int, seen: int, parity: int) -> tuple[int, int]:
+    def strip(self, data: list[int], den: int, seen: int, parity: int) -> tuple[int, int]:
         """Divide ``data`` (in place) and ``den`` by the largest power of two
         dividing both, given ``seen`` (below each field's top bit, the OR of its
-        coefficients) and ``parity`` (bit 0 of each field): (den, 2s divided)."""
+        coefficients) and ``parity`` (bit 0 of each field): (den, 2s divided).
+        All-zero ``data`` loses every 2; only it stops at a field's top bit."""
         strip = 0
         while not den & 1 and not seen & (parity << strip):
             strip += 1
             den >>= 1
+        if strip == self.width - 1:
+            strip, den = strip + (den & -den).bit_length() - 1, den // (den & -den)
         if strip:
             data[:] = [v >> strip for v in data]
         return den, strip
@@ -292,6 +298,8 @@ def _normalized(coeffs: list[int], den: int) -> tuple[tuple[int, ...], int]:
 def _check_modulus(M: int) -> None:
     if M % 8 != 0:
         raise ModulusError(f"modulus must be divisible by 8, got {M}")
+    if M > MAX_MODULUS:
+        raise ModulusError(f"modulus {M} exceeds cap {MAX_MODULUS}")
 
 
 class CycloScalar:
@@ -426,6 +434,7 @@ def lift_modulus(a: CycloScalar, M2: int) -> CycloScalar:
         return a
     if M2 % a.modulus != 0:
         raise ModulusError(f"cannot lift modulus {a.modulus} to {M2}")
+    _check_modulus(M2)
     k = M2 // a.modulus
     buf = [0] * (k * (len(a.coeffs) - 1) + 1)
     buf[::k] = a.coeffs

@@ -2,61 +2,57 @@
 
 Every node becomes a leg-symmetric tensor (Z spiders are diagonal deltas,
 X spiders their Hadamard conjugates, H boxes the 2x2 Hadamard matrix) and
-every edge an index pairing; boundary ports stay open.  The axes are named
-in one pass over the edges, which also applies two of the calculus's own
-equations: a spider's self-loop is dropped (tracing two legs of a Z or X
-spider leaves the same spider with two fewer legs), and a spider of high
-degree is cut into a same-colour chain (spider fusion), so no leaf is wider
-than the degree limit.  A port-to-port wire is a phase-0 Z spider of degree
-2, the identity.  Contraction is pairwise, in a greedy order that keeps
-intermediate rank small, with a hard cap; the order is built incrementally,
-rescoring after each merge only the pairs of the new tensor.  A diagram's
-program (steps, offset layouts, port offsets, each leaf's node) and its
-validity depend only on its shape (``_ProgramMemo.key``), not on colours or
-phases.  Programs of three or more leaves are kept in a memo of at most
+every edge an index pairing; boundary ports stay open.  ``interpret`` is
+one shape step and one run step per backend.  The shape step (``_shape``,
+which ``plan_contraction`` also reads) names the axes in one pass over the
+edges, which applies two of the calculus's own equations: a spider's
+self-loop is dropped (tracing two legs of a Z or X spider leaves the same
+spider with two fewer legs), and a spider of high degree is cut into a
+same-colour chain (spider fusion), so no leaf is wider than the degree
+limit.  A port-to-port wire is a phase-0 Z spider of degree 2, the
+identity.  It then plans a pairwise contraction that keeps intermediate
+rank small, with a hard cap (``_plan_greedy``).  Its program (steps with
+their offset layouts, port offsets, each leaf's node and degree) owns the
+axes: a tensor holds only entries.  A program and the diagram's validity
+depend only on its shape (``_ProgramMemo.key``), not on colours or phases.
+Programs of three or more leaves are kept in a memo of at most
 ``PROGRAM_CACHE_LEAVES`` leaves, oldest dropped first, so a shape met again
-(SUP_n over an angle grid and its colour swap, one circuit's exact and float
-runs) is validated, named and planned once: a hit builds only the modulus,
-the leaves and the steps.  One- and two-leaf programs, nearly every
-rule-sweep diagram, are rebuilt per call: storing them raises the sweep's
-peak memory past its benchmark bound.
+(SUP_n over an angle grid and its colour swap, one circuit's exact and
+float runs) is validated, named and planned once.  One- and two-leaf
+programs, nearly every rule-sweep diagram, are rebuilt per call: storing
+them raises the sweep's peak memory past its benchmark bound.
 
-The float backend stores complex entries.  The exact backend has one
-kernel for every modulus M (divisible by 8).  zeta_M^(M/2) = -1, so Phi_M
-divides X^(M/2) + 1 and the negacyclic ring Z[X]/(X^(M/2) + 1) maps onto
-Z[zeta_M]; contraction runs in that ring.  Each tensor has one
-power-of-two denominator and each entry is one Python int holding its M/2
-signed coefficients in fixed-width fields (``cyclotomic.FieldLayout``).
-A generic step is one bigint multiply per output row and shared pattern,
-each slot of the row reduced modulo X^(M/2) + 1 by a biased mask, a shift
-and a subtraction; lowest terms take a parity mask and a shift.  A bound on
-each tensor's values keeps every field from spilling into the next,
-widening the fields when needed.  Leaves are built in the ring itself.
-
-``interpret`` returns a ``SemanticMatrix`` that keeps the final
-denominator and packed entries; it reduces an entry modulo Phi_M into a
-``CycloScalar`` only when ``entries`` is first read, and at a power-of-two
-M that reduction does nothing.  ``matrix_compare`` decides two matrices of
-identical kernel form equal without making any scalar.
+The run step reads its leaves from a cache that every call shares
+(``_TENSOR_CACHE``) and runs the steps on one of two backends.  The exact
+backend has one kernel for every modulus M (divisible by 8): Phi_M divides
+X^(M/2) + 1, so contraction runs in the negacyclic ring Z[X]/(X^(M/2) + 1),
+which maps onto Z[zeta_M].  Each tensor has one power-of-two denominator
+and each entry is one Python int holding its M/2 signed coefficients in
+fixed-width fields (``cyclotomic.FieldLayout``); a generic step is one
+bigint multiply per output row and shared pattern.  A bound on each
+tensor's values keeps every field from spilling into the next, widening
+the fields when needed.  The returned ``SemanticMatrix`` keeps the packed
+entries and makes the ``CycloScalar``s of ``entries`` when first read.
 
 A Z or X spider with legs, leaf or not, is its two values: v0 at
 all-zeros and v1 at all-ones for Z (COPY; a leaf's are 1 and u = e^(ia)),
 v0 on even patterns and v1 on odd ones for X (PARITY; a leaf's are
-(1 +- u)/sqrt2^degree).  Leaves are built and cached in that form; an H box
-keeps its four entries and a spider with no legs its one.  A step meeting a
-spider with a rank-1 (x0, x1) on one leg is an absorb step: COPY becomes
+(1 +- u)/sqrt2^degree), and an exact leaf is kept so; an H box keeps its
+four entries and a spider with no legs its one.  A step meeting a spider
+with a rank-1 (x0, x1) on one leg is an absorb step: COPY becomes
 (v0 x0, v1 x1), PARITY (v0 x0 + v1 x1, v1 x0 + v0 x1), at rank 0 the sum
 v0 x0 + v1 x1; from ``SHIFT_PRODUCT_MODULUS`` on, a product by a spider
 leaf's value is a few shifts (``_times``).  A step consuming a Z leaf
 otherwise is a Z step (``contract_z``), the other operand's all-zeros
 shared slice and u times its all-ones one (their sum if the leaf has no
 free leg), and the rest expand their spiders (``_dense``) and run the
-generic step (``contract``).  The float backend expands its leaves and runs
-every step through ``_products``, a per-entry product loop, so it shares no
-step with the kernel it serves as an oracle for.  The modulus is capped at
-``MAX_MODULUS``.
-``backend_for`` is the one exactness policy: EXACT when every phase is
-exact, FLOAT otherwise.
+generic step (``contract``).
+
+The float backend builds dense complex leaves by its own arithmetic
+(``_float_leaf``) and runs every step through ``_products``, a per-entry
+product loop, so it shares no step with the kernel it is an oracle for.
+The modulus is capped at ``MAX_MODULUS``.  ``backend_for`` is the one
+exactness policy: EXACT when every phase is exact, FLOAT otherwise.
 """
 
 from __future__ import annotations
@@ -71,7 +67,8 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .cyclotomic import (
-    MODULUS_CACHE_SIZE, CycloScalar, FieldLayout, _check_modulus, lift_modulus, root_exponent,
+    MAX_MODULUS, MODULUS_CACHE_SIZE, CycloScalar, FieldLayout, _check_modulus, lift_modulus,
+    root_exponent,
 )
 from .diagram import (
     Diagram, NodeKind, Phase, PiRational, H, X, Z,
@@ -93,29 +90,14 @@ class ResourceLimitError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# scalar backends
+# the exact kernel
 # ---------------------------------------------------------------------------
-# A ring builds leaf tensors from its leaf scalars (``one``, ``phase``,
-# ``inv_sqrt2_pow`` and ``mul``) and stores tensors in its own form:
-# ``pack`` turns a leaf's denominator and scalars (a spider's two values)
-# into the ``_Tensor`` fields after the axes (``den``, ``data``, ``bits``,
-# ``fields``, ``spider`` and ``terms``), ``contract`` runs a pairwise
-# contraction's inner loop over dense operands and ``matrix`` makes the
-# final ``SemanticMatrix``.  The float ring stores plain complex numbers and
-# has nothing more than ``_products``; the exact ring stores packed ints
-# (``cyclotomic.FieldLayout``) and also runs the spider steps: ``contract_z``
-# a Z step's (u is the leaf's second value) and ``absorb`` an absorb step's.
 
 # Bounds of the module caches: the four benchmark workloads use at most 10
 # rings (bounded with the other per-modulus caches, by
 # ``cyclotomic.MODULUS_CACHE_SIZE``) and about 2,000 leaf tensors.
 TENSOR_CACHE_SIZE = 4096
 PROGRAM_CACHE_LEAVES = 2048
-
-# The largest modulus the exact backend builds a field for.  Tests use at
-# most 1,040 and the benchmark 312; the field of phase 1/99991 (M = 799,928)
-# takes seconds to build and its values are 400k coefficients long.
-MAX_MODULUS = 65536
 
 # Bits per coefficient field of a packed tensor; a tensor whose coefficient
 # bound outgrows its fields is re-encoded in wider ones (a multiple of this).
@@ -145,21 +127,21 @@ class _ExactRing:
     with d | M and M/d odd; modulo each, X^(M/8) is a primitive 8th root of
     unity, so 1/sqrt2 goes to +-1/sqrt2 and values stay as small as a
     diagram's, over a power-of-two denominator.  Only the factor Phi_M is
-    read, by ``FieldLayout.scalar``.  A generic step (``contract``) is one
-    bigint multiply per output row and shared pattern (``FieldLayout.row``).
+    read, by ``FieldLayout.scalar``.  A step reads its offset layout from the
+    program and returns a new ``_Tensor``: a generic step (``contract``) is
+    one bigint multiply per output row and shared pattern (``FieldLayout.row``).
 
     Each tensor carries a bound ``bits``: no entry's norm
     (``cyclotomic.FieldLayout``) exceeds 2^bits.  It is exact for leaves;
     after a product it is b1 + b2 + the number of shared axes (a sum of
-    2^shared products, in each slot of a row), less the 2s divided out.
+    2^shared products, in each slot of a row), less the 2s divided out, and
+    never below 0 (a zero tensor strips every 2 of its denominator).
     When a result's bound would pass its fields' limit, ``fit`` recomputes
     the operands' bounds exactly and, if that is not enough, re-encodes them
     in wider fields, so no field ever spills into its neighbour.  A Z step
     keeps the other operand's bound, +1 if it sums two slices, less the 2s
     divided out; an absorb step's is the two bounds' sum, +1 for a PARITY or
     rank-0 sum."""
-
-    one = 1
 
     def __init__(self, modulus: int):
         _check_modulus(modulus)
@@ -191,30 +173,26 @@ class _ExactRing:
         """(1/sqrt2)^k as a denominator and a leaf scalar."""
         return (1 << k // 2, 1) if k % 2 == 0 else (1 << (k + 1) // 2, self._root2)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.leaf_fields.reduce(a * b)
-
-    def pack(self, den: int, values, spider: Optional[str] = None) -> tuple:
-        """A leaf's ``_Tensor`` fields after its axes, in lowest terms."""
+    def pack(self, den: int, values, spider: Optional[str] = None) -> "_Tensor":
+        """A leaf of a denominator and packed values, in lowest terms."""
         fields, data = self.leaf_fields, list(values)
         den, _ = fields.reduce_in_lowest_terms(data, den)
         wide = spider and self.modulus >= SHIFT_PRODUCT_MODULUS
         terms = tuple(_leaf_terms(fields, v) for v in data) if wide else None
-        return den, tuple(data), fields.bits(data), fields, spider, terms
+        return _Tensor(den, tuple(data), fields.bits(data), fields, spider, terms)
 
-    def fit(self, tensors, extra: int):
-        """``tensors`` in one layout whose fields hold a result bounded by
-        ``sum(bits) + extra``, their bounds recomputed exactly, re-encoding
-        those in another layout."""
-        for t in tensors:
-            t.bits = t.fields.bits(t.data)
-        fields = self.fields(sum(t.bits for t in tensors) + extra)
-        return [t if t.fields is fields else _Tensor(
-                    t.axes, t.den, [fields.encode(t.fields.decode(v)) for v in t.data],
-                    t.bits, fields, t.spider, t.terms)
-                for t in tensors]
+    def fit(self, tensors, extra: int) -> list:
+        """``tensors`` anew in one layout whose fields hold a result bounded by
+        ``sum(bits) + extra``, their bounds recomputed exactly and those in
+        another layout re-encoded; the operands, maybe cached leaves, are
+        left as they are."""
+        bits = [t.fields.bits(t.data) for t in tensors]
+        fields = self.fields(sum(bits) + extra)
+        return [_Tensor(t.den, t.data if t.fields is fields else
+                        [fields.encode(t.fields.decode(v)) for v in t.data],
+                        b, fields, t.spider, t.terms) for t, b in zip(tensors, bits)]
 
-    def contract(self, t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
+    def contract(self, t1: "_Tensor", t2: "_Tensor", layout) -> "_Tensor":
         b1, b2, sh1, sh2 = layout
         extra = len(sh1).bit_length() - 1  # the number of shared axes
         if t1.fields is not t2.fields or t1.bits + t2.bits + extra > t1.fields.limit:
@@ -243,9 +221,9 @@ class _ExactRing:
             data += [from_bytes(raw[k:k + size // 2], "little") - half
                      for k in range(0, len(raw), size)]
         den, strip = fields.strip(data, t1.den * t2.den, seen, parity_r)
-        return _Tensor(axes, den, data, t1.bits + t2.bits + extra - strip, fields)
+        return _Tensor(den, data, max(t1.bits + t2.bits + extra - strip, 0), fields)
 
-    def contract_z(self, z: "_Tensor", t: "_Tensor", axes, layout, z_first: bool) -> "_Tensor":
+    def contract_z(self, z: "_Tensor", t: "_Tensor", layout, z_first: bool) -> "_Tensor":
         """``contract`` with the Z leaf ``z``: its v1, u = +-X^k, is a shift."""
         base, hi, nz, rows = _z_view(layout, z_first)
         if nz == 1 and t.bits + 1 > t.fields.limit:
@@ -261,7 +239,7 @@ class _ExactRing:
             data = [0] * (nz * len(base))
             data[rows[0]], data[rows[1]] = [d[o] for o in base], ones
         den, strip = fields.reduce_in_lowest_terms(data, t.den)
-        return _Tensor(axes, den, data, t.bits + (nz == 1) - strip, fields)
+        return _Tensor(den, data, max(t.bits + (nz == 1) - strip, 0), fields)
 
     def absorb(self, s: "_Tensor", x: "_Tensor", size: int) -> "_Tensor":
         """``_absorb`` of the state ``x`` into the spider ``s``."""
@@ -270,46 +248,13 @@ class _ExactRing:
             s, x = self.fit((s, x), summed)
         data = _absorb(s, x, size)
         den, strip = s.fields.reduce_in_lowest_terms(data, s.den * x.den)
-        return _Tensor(None, den, data, s.bits + x.bits + summed - strip, s.fields,
+        return _Tensor(den, data, max(s.bits + x.bits + summed - strip, 0), s.fields,
                        s.spider if size > 1 else None)
-
-    @staticmethod
-    def matrix(den: int, data: list, fields: FieldLayout, n_in: int, n_out: int):
-        # already in lowest terms: at a power-of-two M this form is canonical
-        return SemanticMatrix._packed(den, data, fields, n_in, n_out)
 
 
 @lru_cache(maxsize=MODULUS_CACHE_SIZE)
 def _exact_ring(modulus: int) -> _ExactRing:
     return _ExactRing(_capped(modulus))  # a refused modulus raises, so is not cached
-
-
-class _FloatRing:
-    modulus = None
-    one = complex(1)
-    mul = staticmethod(operator.mul)
-
-    @staticmethod
-    def phase(phase: Phase) -> complex:
-        return cmath.exp(1j * phase_radians(phase))
-
-    @staticmethod
-    def inv_sqrt2_pow(k: int) -> tuple[int, complex]:
-        return 1, complex(2 ** (-k / 2.0))
-
-    @staticmethod
-    def pack(den: int, values, spider: Optional[str] = None) -> tuple:
-        return 1, tuple(values), 0, None, spider, None
-
-    @staticmethod
-    def contract(t1: "_Tensor", t2: "_Tensor", axes: list[str], layout) -> "_Tensor":
-        return _Tensor(axes, 1, _products(t1.data, t2.data, *layout, complex(0)))
-
-    @staticmethod
-    def matrix(den: int, data: list, fields, n_in: int, n_out: int):
-        cols = 1 << n_in
-        return SemanticMatrix([data[r:r + cols] for r in range(0, len(data), cols)],
-                              n_in, n_out, FLOAT)
 
 
 def field_modulus(den: int) -> int:
@@ -328,20 +273,9 @@ def choose_modulus(d: Diagram) -> int:
     return M
 
 
-_FLOAT_RING = _FloatRing()
-
-
 def backend_for(*diagrams: Diagram) -> str:
     """EXACT when every phase of every diagram is exact, FLOAT otherwise."""
     return EXACT if all(d.is_exact() for d in diagrams) else FLOAT
-
-
-def _ring_for(d: Diagram, backend: str):
-    if backend == EXACT:
-        return _exact_ring(choose_modulus(d))
-    if backend == FLOAT:
-        return _FLOAT_RING
-    raise ValueError(f"unknown backend {backend!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +283,22 @@ def _ring_for(d: Diagram, backend: str):
 # ---------------------------------------------------------------------------
 
 class _Tensor:
-    """Entries over axes (the first most significant; None when a program's
-    layouts place them) in a ring's storage form, all divided by ``den``; a
-    packed tensor also has ``fields`` and a bound ``bits`` (``_ExactRing``).
+    """An exact tensor: packed entries (``cyclotomic.FieldLayout``) in the
+    flat order of the axes its program gives it, the first most significant,
+    all divided by ``den``, with a bound ``bits`` (``_ExactRing``).
 
-    A packed tensor is in lowest terms: ``den`` is 1 or some coefficient of
-    some entry is odd.  ``_ExactRing.pack`` strips each leaf once, when it
-    is built, and each contraction strips its result.  ``spider`` is Z or X
-    for a spider with legs, leaf or not: its ``data`` is then its two values,
-    which ``_dense`` expands, and from ``SHIFT_PRODUCT_MODULUS`` on a leaf's
-    ``terms`` are their ``_leaf_terms``."""
+    A tensor is in lowest terms: ``den`` is 1 or some coefficient of some
+    entry is odd, so a zero tensor is 0 over 1.  ``_ExactRing.pack`` strips
+    each leaf once, when it is built, and each step strips its result.
+    Leaves are cached and shared by every call, so no step writes into its
+    operands.  ``spider`` is Z or X for a spider with legs, leaf or not: its
+    ``data`` is then its two values, which ``_dense`` expands, and from
+    ``SHIFT_PRODUCT_MODULUS`` on a leaf's ``terms`` are their ``_leaf_terms``."""
 
-    __slots__ = ("axes", "den", "data", "bits", "fields", "spider", "terms")
+    __slots__ = ("den", "data", "bits", "fields", "spider", "terms")
 
-    def __init__(self, axes: list[str], den: int, data, bits: int = 0,
-                 fields: Optional[FieldLayout] = None, spider: Optional[str] = None, terms=None):
-        self.axes = axes
+    def __init__(self, den: int, data, bits: int, fields: FieldLayout,
+                 spider: Optional[str] = None, terms=None):
         self.den = den
         self.data = data
         self.bits = bits
@@ -405,53 +339,71 @@ def _absorb(s: _Tensor, x: _Tensor, size: int) -> list:
     return [_times(v0, x0, w) + _times(v1, x1, w), _times(v1, x0, w) + _times(v0, x1, w)]
 
 
+def _entries(spider: str, v0, v1, size: int) -> list:
+    """The ``size`` entries of a spider of two values: COPY (Z) with zeros
+    between, PARITY (X) by doubling."""
+    if spider == Z:
+        return [v0] + [0] * (size - 2) + [v1]
+    data, odd = [v0], [v1]
+    while len(data) < size:
+        data, odd = data + odd, odd + data
+    return data
+
+
 def _dense(t: _Tensor, size: int) -> _Tensor:
-    """The ``size`` entries of a spider ``t`` (COPY with zeros between,
-    PARITY by doubling); any other tensor as it is."""
-    if not t.spider:
-        return t
-    v0, v1 = t.data
-    if t.spider == Z:
-        data = [v0] + [0] * (size - 2) + [v1]
-    else:
-        data, odd = [v0], [v1]
-        while len(data) < size:
-            data, odd = data + odd, odd + data
-    return _Tensor(t.axes, t.den, data, t.bits, t.fields)
+    """A spider ``t`` as its ``size`` entries; any other tensor as it is."""
+    return _Tensor(t.den, _entries(t.spider, *t.data, size), t.bits, t.fields) if t.spider else t
 
 
-def _spider_tensor_fresh(kind: NodeKind, degree: int, ring) -> tuple:
-    """A leaf's ``ring.pack`` fields: an H box's four entries, a spider's
-    two values and colour, or the one entry of a spider with no legs."""
+def _spider_tensor_fresh(kind: NodeKind, degree: int, ring: _ExactRing) -> _Tensor:
+    """An exact leaf: an H box's four entries, a spider's two values and
+    colour, or the one entry of a spider with no legs."""
     if kind.kind == H:
         den, s = ring.inv_sqrt2_pow(1)
         return ring.pack(den, (s, s, s, -s))
     ph = ring.phase(kind.phase)
     if kind.kind == Z:  # 1 at all-zeros, e^{ia} at all-ones
-        den, values = 1, (ring.one, ph)
+        den, values = 1, (1, ph)
     else:  # (1/sqrt2)^degree (1 + e^{ia} (-1)^popcount)
         den, scale = ring.inv_sqrt2_pow(degree)
-        values = (ring.mul(scale, ring.one + ph), ring.mul(scale, ring.one - ph))
+        reduce = ring.leaf_fields.reduce
+        values = (reduce(scale * (1 + ph)), reduce(scale * (1 - ph)))
     if not degree:  # the empty pattern is all-zeros, all-ones and even
         return ring.pack(den, (sum(values) if kind.kind == Z else values[0],))
     return ring.pack(den, values, kind.kind)
 
 
-# (modulus, kind, phase, degree) -> a leaf's ``ring.pack`` fields (tuples: calls share them)
-_TENSOR_CACHE: dict[tuple, tuple] = {}
+def _float_leaf(kind: NodeKind, degree: int) -> list:
+    """A leaf's dense complex entries, for the float backend: an H box's
+    four, a spider's ``_entries`` or the one entry of a spider with no legs."""
+    if kind.kind == H:
+        s = complex(2 ** (-1 / 2.0))
+        return [s, s, s, -s]
+    one, ph = complex(1), cmath.exp(1j * phase_radians(kind.phase))
+    scale = complex(2 ** (-degree / 2.0))  # an X spider's (1/sqrt2)^degree
+    v0, v1 = (one, ph) if kind.kind == Z else (scale * (one + ph), scale * (one - ph))
+    if not degree:
+        return [v0 + v1 if kind.kind == Z else v0]
+    return _entries(kind.kind, v0, v1, 1 << degree)
+
+
+# (modulus or None, kind, phase, degree) -> a leaf, which calls share
+_TENSOR_CACHE: dict[tuple, Union["_Tensor", list]] = {}
 _PIECES = {Z: zspider(), X: xspider()}  # a chain piece after the first, and a wire (Z)
 
 
-def _leaf_tensor(kind: NodeKind, degree: int, ring) -> tuple:
-    """The ``ring.pack`` fields of a spider or H box with ``degree`` legs."""
-    if isinstance(kind.phase, float):  # a float angle rarely recurs: not cached
-        return _spider_tensor_fresh(kind, degree, ring)
-    key = (ring.modulus, kind.kind, kind.phase, degree)
-    if (packed := _TENSOR_CACHE.get(key)) is None:
-        if len(_TENSOR_CACHE) >= TENSOR_CACHE_SIZE:  # drop the oldest
-            del _TENSOR_CACHE[next(iter(_TENSOR_CACHE))]
-        packed = _TENSOR_CACHE[key] = _spider_tensor_fresh(kind, degree, ring)
-    return packed
+def _leaf_tensor(kind: NodeKind, degree: int, ring: Optional[_ExactRing] = None):
+    """The leaf of a spider or H box with ``degree`` legs: ``ring``'s
+    ``_Tensor``, or with no ring the float backend's entries.  Cached, but
+    not at a float angle, which rarely recurs."""
+    key = (ring and ring.modulus, kind.kind, kind.phase, degree)
+    if (leaf := _TENSOR_CACHE.get(key)) is None:
+        leaf = _spider_tensor_fresh(kind, degree, ring) if ring else _float_leaf(kind, degree)
+        if not isinstance(kind.phase, float):
+            if len(_TENSOR_CACHE) >= TENSOR_CACHE_SIZE:  # drop the oldest
+                del _TENSOR_CACHE[next(iter(_TENSOR_CACHE))]
+            _TENSOR_CACHE[key] = leaf
+    return leaf
 
 
 def _offsets(axes, subset) -> list[int]:
@@ -474,11 +426,6 @@ def _pair_layout(a1, a2) -> tuple:
     f2 = [a for a in a2 if a not in in1]
     return f1 + f2, (_offsets(a1, f1), _offsets(a2, f2), _offsets(a1, shared),
                      _offsets(a2, shared))
-
-
-def _contract_pair(t1: _Tensor, t2: _Tensor, ring) -> _Tensor:
-    """Sum over the shared axes, in either ring (``ring.contract``)."""
-    return ring.contract(t1, t2, *_pair_layout(t1.axes, t2.axes))
 
 
 def _z_view(layout, z_first: bool) -> tuple:
@@ -615,13 +562,6 @@ class SemanticMatrix:
         self.modulus = modulus
         self._kernel: Optional[tuple[int, list[int], FieldLayout]] = None
 
-    @classmethod
-    def _packed(cls, den: int, data: list[int], fields: FieldLayout, n_inputs: int,
-                m_outputs: int) -> "SemanticMatrix":
-        m = cls(None, n_inputs, m_outputs, EXACT, fields.modulus)
-        m._kernel = (den, data, fields)
-        return m
-
     @property
     def entries(self) -> list[list[Scalar]]:
         if self._entries is None:
@@ -728,11 +668,17 @@ def _lift_matrix(m: SemanticMatrix, M: int) -> SemanticMatrix:
 # interpretation
 # ---------------------------------------------------------------------------
 
-def _matrix(t: _Tensor, ring, rows: tuple, cols: tuple) -> SemanticMatrix:
-    """The matrix whose entry (r, c) is ``t``'s at offset rows[r] + cols[c]."""
-    flat = [t.data[r + c] for r in rows for c in cols]
-    return ring.matrix(t.den, flat, t.fields, len(cols).bit_length() - 1,
-                       len(rows).bit_length() - 1)
+def _matrix(t, rows: tuple, cols: tuple) -> SemanticMatrix:
+    """The matrix whose entry (r, c) is at offset rows[r] + cols[c] of ``t``,
+    an exact ``_Tensor`` or the float backend's entries."""
+    n_in, n_out = len(cols).bit_length() - 1, len(rows).bit_length() - 1
+    if t.__class__ is not _Tensor:
+        return SemanticMatrix([[t[r + c] for c in cols] for r in rows], n_in, n_out, FLOAT)
+    data = _dense(t, len(rows) * len(cols)).data
+    m = SemanticMatrix(None, n_in, n_out, EXACT, t.fields.modulus)
+    # already in lowest terms: at a power-of-two M this form is canonical
+    m._kernel = (t.den, [data[r + c] for r in rows for c in cols], t.fields)
+    return m
 
 
 def node_tensor(kind: NodeKind, n_in: int, n_out: int, backend: str = EXACT,
@@ -742,17 +688,16 @@ def node_tensor(kind: NodeKind, n_in: int, n_out: int, backend: str = EXACT,
         raise ValueError("H box is a 1 -> 1 generator")
     if backend == EXACT and modulus is None:
         modulus = field_modulus(kind.phase.den) if phase_is_exact(kind.phase) else 8
-    ring = _exact_ring(modulus) if backend == EXACT else _FLOAT_RING
+    ring = _exact_ring(modulus) if backend == EXACT else None
     # legs ordered inputs then outputs (symmetric tensors make the order moot),
     # so the output bits are the low ones
-    leaf = _Tensor(None, *_leaf_tensor(kind, n_in + n_out, ring))
-    return _matrix(_dense(leaf, 1 << (n_in + n_out)), ring,
-                   range(1 << n_out), range(0, 1 << (n_in + n_out), 1 << n_out))
+    return _matrix(_leaf_tensor(kind, n_in + n_out, ring), range(1 << n_out),
+                   range(0, 1 << (n_in + n_out), 1 << n_out))
 
 
 def _tensor_axes(d: Diagram, max_rank: int) -> list[tuple]:
-    """One ``(kind, axes, source)`` per leaf tensor: the nodes in sorted id
-    order, then one per port-to-port wire.
+    """One ``(source, axes)`` per leaf tensor: the nodes in sorted id order,
+    then one per port-to-port wire.
 
     Edge k between two nodes shares axis ``e<k>``; an edge end at a port is
     named after the port so the open axis is identifiable.  A self-loop is
@@ -768,7 +713,7 @@ def _tensor_axes(d: Diagram, max_rank: int) -> list[tuple]:
     for k, (a, b) in enumerate(d.edges):
         a_port, b_port = a in ports, b in ports
         if a_port and b_port:
-            wires.append((_PIECES[Z], [f"p:{a}", f"p:{b}"], ()))
+            wires.append(((), [f"p:{a}", f"p:{b}"]))
         elif a_port:
             node_axes[b].append(f"p:{a}")
         elif b_port:
@@ -779,20 +724,27 @@ def _tensor_axes(d: Diagram, max_rank: int) -> list[tuple]:
     limit = max(3, min(8, max_rank))
     leaves = []
     for n in sorted(d.nodes):
-        kind, axes, source = d.nodes[n], node_axes[n], n
+        axes, source = node_axes[n], n
         while len(axes) > limit:
             link = f"s{len(leaves)}"
-            leaves.append((kind, axes[:limit - 1] + [link], source))
-            kind, axes, source = _PIECES[kind.kind], [link] + axes[limit - 1:], (n,)
-        leaves.append((kind, axes, source))
+            leaves.append((source, axes[:limit - 1] + [link]))
+            axes, source = [link] + axes[limit - 1:], (n,)
+        leaves.append((source, axes))
     return leaves + wires
 
 
+def _leaf_kind(nodes: dict, source) -> NodeKind:
+    """The kind of the leaf ``_tensor_axes`` gave ``source``; a later chain
+    piece and a wire have phase 0."""
+    if source.__class__ is str:
+        return nodes[source]
+    return _PIECES[nodes[source[0]].kind if source else Z]
+
+
 class _ProgramMemo(dict):
-    """Programs by ``key``, oldest first: (steps (i, j, layout), peak rank,
-    output and input offsets, each leaf's (source, axes)), ``leaves`` leaves
-    in all.  ``sizes`` counts them by node count, so that most diagrams of
-    one or two nodes (one or two leaves, not stored) build no key."""
+    """Programs (``_shape``) by ``key``, oldest first, ``leaves`` leaves in
+    all.  ``sizes`` counts them by node count, so that most diagrams of one
+    or two nodes (one or two leaves, not stored) build no key."""
 
     def __init__(self):
         super().__init__()
@@ -820,57 +772,57 @@ class _ProgramMemo(dict):
 _PROGRAM_CACHE = _ProgramMemo()
 
 
-def _program(d: Diagram, max_rank: int) -> tuple:
-    """The program of the valid diagram ``d``, with each leaf's (kind, axes,
-    source); stored when it has three to ``PROGRAM_CACHE_LEAVES`` leaves."""
-    leaves = _tensor_axes(d, max_rank)
-    axes_list = [axes for _, axes, _ in leaves]
-    n = len(axes_list)
-    plan = _plan_greedy(axes_list, max_rank)
-    if n == 2:  # one step, rebuilt per call: lists will do
-        final, layout = _pair_layout(*axes_list)
-        steps = [(0, 1, layout)]
-    else:  # no step, or ones to store as tuples
-        pool, steps = dict(enumerate(axes_list)), []
-        for new, (i, j) in enumerate(plan.steps, n):
-            pool[new], layout = _pair_layout(pool.pop(i), pool.pop(j))
-            steps.append((i, j, tuple(map(tuple, layout))))
-        final = pool.popitem()[1] if pool else ()
+def _shape(d: Diagram, max_rank: int) -> tuple:
+    """``d``'s program: its steps (i, j, layout), peak rank, output and input
+    offsets and each leaf's (source, degree).  A stored shape is read back;
+    any other ``d`` is validated, named and planned, and its program stored
+    when it has three to ``PROGRAM_CACHE_LEAVES`` leaves."""
+    memo = _PROGRAM_CACHE
+    key = memo.sizes.get(len(d.nodes)) and memo.key(d, max_rank)
+    if key and (prog := memo.get(key)):
+        return prog
+    leaves = _tensor_axes(ensure_valid(d), max_rank)
+    axes_list = [axes for _, axes in leaves]
+    plan, pool, steps = _plan_greedy(axes_list, max_rank), dict(enumerate(axes_list)), []
+    for new, (i, j) in enumerate(plan.steps, len(leaves)):
+        pool[new], layout = _pair_layout(pool.pop(i), pool.pop(j))
+        steps.append((i, j, tuple(map(tuple, layout))))
+    final = pool.popitem()[1] if pool else ()
     # a valid diagram's ports are exactly the open axes, each once
-    order = (_offsets(final, [f"p:{p}" for p in d.outputs]),
-             _offsets(final, [f"p:{p}" for p in d.inputs]))
-    if not 2 < n <= PROGRAM_CACHE_LEAVES:
-        return steps, plan.peak_rank, order, leaves
-    _PROGRAM_CACHE.put(_ProgramMemo.key(d, max_rank), (
-        tuple(steps), plan.peak_rank, tuple(map(tuple, order)),
-        tuple([(source, tuple(axes)) for _, axes, source in leaves])))
-    return steps, plan.peak_rank, order, leaves
+    order = (tuple(_offsets(final, [f"p:{p}" for p in d.outputs])),
+             tuple(_offsets(final, [f"p:{p}" for p in d.inputs])))
+    prog = (tuple(steps), plan.peak_rank, order, tuple([(s, len(a)) for s, a in leaves]))
+    if 2 < len(leaves) <= PROGRAM_CACHE_LEAVES:
+        memo.put(key or memo.key(d, max_rank), prog)
+    return prog
 
 
 def plan_contraction(d: Diagram, max_rank: int = DEFAULT_MAX_RANK) -> ContractionPlan:
     """The contraction order and peak rank that ``interpret`` follows for ``d``;
     raises ``DiagramError`` for a malformed ``d``, as ``interpret`` does."""
-    prog = _PROGRAM_CACHE.get(_ProgramMemo.key(d, max_rank)) or _program(ensure_valid(d), max_rank)
-    return ContractionPlan([(i, j) for i, j, _ in prog[0]], prog[1])
+    steps, peak, _, _ = _shape(d, max_rank)
+    return ContractionPlan([(i, j) for i, j, _ in steps], peak)
 
 
 def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK) -> SemanticMatrix:
-    """Contract the diagram to its 2^m x 2^n standard-interpretation matrix."""
-    memo = _PROGRAM_CACHE
-    prog = memo.sizes.get(len(d.nodes)) and memo.get(memo.key(d, max_rank))
-    if prog:  # a stored shape: valid and planned; a later chain piece has phase 0
-        ring, nodes = _ring_for(d, backend), d.nodes
-        steps, _, order, sources = prog
-        leaves = [(nodes[s] if s.__class__ is str else _PIECES[nodes[s[0]].kind if s else Z],
-                   axes, s) for s, axes in sources]
-    else:
-        ring = _ring_for(ensure_valid(d), backend)
-        steps, _, order, leaves = _program(d, max_rank)
-    pool = {i: _Tensor(axes, *_leaf_tensor(kind, len(axes), ring))
-            for i, (kind, axes, _) in enumerate(leaves)}
-    if ring is _FLOAT_RING:  # spider steps are the exact kernel's alone
-        pool = {i: _dense(t, 1 << len(t.axes)) for i, t in pool.items()}
+    """Contract the diagram to its 2^m x 2^n standard-interpretation matrix:
+    the shape step, then the backend's run step."""
+    prog = _shape(d, max_rank)
+    if backend == EXACT:
+        return _run_exact(d.nodes, prog, _exact_ring(choose_modulus(d)))
+    if backend == FLOAT:
+        return _run_float(d.nodes, prog)
+    raise ValueError(f"unknown backend {backend!r}")
+
+
+def _run_exact(nodes: dict, prog: tuple, ring: _ExactRing) -> SemanticMatrix:
+    """The exact run step: a step meeting a spider and a state on one of its
+    legs absorbs it, one consuming a Z leaf is a Z step, and the rest expand
+    their spiders and run the generic step."""
+    steps, _, order, leaves = prog
     n = len(leaves)
+    pool = {i: _leaf_tensor(_leaf_kind(nodes, s), degree, ring)
+            for i, (s, degree) in enumerate(leaves)}
     for new, (i, j, layout) in enumerate(steps, n):
         t1, t2 = pool.pop(i), pool.pop(j)
         b1, b2, sh1, sh2 = layout
@@ -879,14 +831,22 @@ def interpret(d: Diagram, backend: str = EXACT, max_rank: int = DEFAULT_MAX_RANK
         elif t2.spider and len(sh1) == 2 and len(b1) == 1:
             pool[new] = ring.absorb(t2, t1, len(b2))
         elif i < n and t1.spider == Z:  # a Z leaf, not a spider that absorbed states
-            pool[new] = ring.contract_z(t1, _dense(t2, len(b2) * len(sh2)), None, layout, True)
+            pool[new] = ring.contract_z(t1, _dense(t2, len(b2) * len(sh2)), layout, True)
         elif j < n and t2.spider == Z:
-            pool[new] = ring.contract_z(t2, _dense(t1, len(b1) * len(sh1)), None, layout, False)
+            pool[new] = ring.contract_z(t2, _dense(t1, len(b1) * len(sh1)), layout, False)
         else:
             pool[new] = ring.contract(_dense(t1, len(b1) * len(sh1)),
-                                      _dense(t2, len(b2) * len(sh2)), None, layout)
-    final = pool.popitem()[1] if pool else _Tensor([], *ring.pack(1, [ring.one]))
-    return _matrix(_dense(final, len(order[0]) * len(order[1])), ring, *order)
+                                      _dense(t2, len(b2) * len(sh2)), layout)
+    return _matrix(pool.popitem()[1] if pool else ring.pack(1, [1]), *order)
+
+
+def _run_float(nodes: dict, prog: tuple) -> SemanticMatrix:
+    """The float run step: dense leaves, every step through ``_products``."""
+    steps, _, order, leaves = prog
+    pool = {i: _leaf_tensor(_leaf_kind(nodes, s), degree) for i, (s, degree) in enumerate(leaves)}
+    for new, (i, j, layout) in enumerate(steps, len(leaves)):
+        pool[new] = _products(pool.pop(i), pool.pop(j), *layout, complex(0))
+    return _matrix(pool.popitem()[1] if pool else [complex(1)], *order)
 
 
 # ---------------------------------------------------------------------------

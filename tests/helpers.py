@@ -10,7 +10,7 @@ from functools import lru_cache
 
 from zxexact.cyclotomic import CycloScalar
 from zxexact.diagram import Diagram, NodeKind, PiRational, _norm_edge, hbox, xspider, zspider
-from zxexact.interpret import ContractionPlan, ResourceLimitError
+from zxexact.interpret import ContractionPlan, ResourceLimitError, _pair_layout
 
 
 def random_diagram(rng: random.Random, max_nodes: int = 6, den: int = 4,
@@ -109,6 +109,13 @@ def plan_greedy_reference(axes_list: list[list[str]], max_rank: int) -> Contract
         del pool[i], pool[j]
         next_id += 1
     return ContractionPlan(steps, peak)
+
+
+def contract_pair(ring, t1, axes1: list[str], t2, axes2: list[str]) -> tuple:
+    """The generic step (``ring.contract``) of ``t1`` over ``axes1`` and ``t2``
+    over ``axes2``, summing their shared axes: (the result's axes, tensor)."""
+    axes, layout = _pair_layout(axes1, axes2)
+    return axes, ring.contract(t1, t2, layout)
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:

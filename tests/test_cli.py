@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -349,8 +350,12 @@ def test_witness_json_schema(capsys):
 
 
 def test_console_entry_point():
+    # pytest's ``pythonpath`` reaches only this process: the child finds the
+    # checkout's package on its PYTHONPATH, as a plain ``python -m pytest`` runs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "zxexact.cli", "rule", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0 and "S1" in proc.stdout
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zxexact.cyclotomic import (
-    CycloScalar, FieldLayout, ModulusError, _norm_bits, cyclotomic_polynomial, euler_phi,
-    lift_modulus, membership_solve, root_exponent, root_of_unity, sqrt_two,
+    MAX_MODULUS, CycloScalar, FieldLayout, ModulusError, _norm_bits, cyclotomic_polynomial,
+    euler_phi, lift_modulus, membership_solve, root_exponent, root_of_unity, sqrt_two,
 )
 from zxexact.diagram import PiRational
 from zxexact.interpret import _exact_ring
@@ -85,6 +86,23 @@ def test_lift_modulus():
     assert lift_modulus(sqrt_two(8), 24) == sqrt_two(24)
     with pytest.raises(ModulusError):
         lift_modulus(a, 12)
+
+
+def test_lifting_past_the_modulus_cap_raises_at_once():
+    # a lift, and so a sum, product or comparison across moduli, is refused
+    # above the cap before any field of that modulus is built
+    one = CycloScalar.one(8)
+    a, b = CycloScalar.one(8 * 4099), CycloScalar.one(8 * 4111)  # lcm 134,807,912
+    built = cyclotomic_polynomial.cache_info().misses
+    with pytest.raises(ModulusError, match="^modulus 8000000 exceeds cap 65536$"):
+        lift_modulus(one, 8_000_000)
+    for op in (operator.add, operator.mul, operator.eq):
+        with pytest.raises(ModulusError, match="^modulus 134807912 exceeds cap 65536$"):
+            op(a, b)
+    with pytest.raises(ModulusError, match="exceeds cap"):
+        CycloScalar(8_000_000)
+    assert cyclotomic_polynomial.cache_info().misses == built
+    assert lift_modulus(one, MAX_MODULUS) == CycloScalar.one(MAX_MODULUS)
 
 
 def test_membership_sqrt2_criterion():

@@ -5,6 +5,7 @@ Also the widening of packed fields, the kernel form kept by
 ``SemanticMatrix`` and the compare that reads it, and the size bounds of
 the module caches."""
 
+import functools
 import importlib
 import random
 from fractions import Fraction
@@ -21,8 +22,9 @@ from zxexact.diagram import (
     tensor_product, xspider, zspider,
 )
 from zxexact.interpret import interpret, matrix_compare, node_tensor
+from zxexact.rules import instantiate
 
-from helpers import random_diagram
+from helpers import contract_pair, random_diagram
 
 # the package re-exports interpret() under the module's own name
 interp = importlib.import_module("zxexact.interpret")
@@ -157,6 +159,36 @@ def test_long_h_chain_recomputes_its_bound(monkeypatch):
     assert recomputed and widths == {interp.FIELD_WIDTH}
 
 
+def test_fit_writes_nothing_into_the_shared_leaves(monkeypatch):
+    # a step reads the cached leaves themselves; in 8-bit fields (limit 6) the
+    # colour-swapped SUP_13's absorb steps ``fit`` cached states into wider
+    # fields, which must make new tensors: every cached leaf keeps its den,
+    # data, bits and fields, and two runs read the same leaf objects
+    monkeypatch.setattr(interp, "FIELD_WIDTH", 8)
+    monkeypatch.setattr(interp, "_TENSOR_CACHE", {})
+    monkeypatch.setattr(interp, "_exact_ring", functools.lru_cache(None)(interp._ExactRing))
+    d = instantiate("SUPn", {"n": 13, "alpha": PiRational(1, 12)}, True).lhs
+    want = interpret(d).entries
+    cache = {key: (t, t.den, t.data, t.bits, t.fields) for key, t in interp._TENSOR_CACHE.items()}
+    fit, leaf_tensor, widened, runs = interp._ExactRing.fit, interp._leaf_tensor, [], []
+
+    def recording_fit(self, tensors, extra):
+        out = fit(self, tensors, extra)
+        widened.extend(t for t, o in zip(tensors, out) if o.fields is not t.fields
+                       and any(t is entry[0] for entry in cache.values()))
+        return out
+
+    monkeypatch.setattr(interp._ExactRing, "fit", recording_fit)
+    monkeypatch.setattr(interp, "_leaf_tensor", lambda *args: runs[-1].append(leaf_tensor(*args))
+                        or runs[-1][-1])
+    for _ in range(2):
+        runs.append([])
+        assert interpret(d).entries == want
+    assert widened and len(runs[0]) == len(runs[1]) > 13
+    assert all(a is b for a, b in zip(*runs))
+    assert {key: (t, t.den, t.data, t.bits, t.fields) for key, (t, *_) in cache.items()} == cache
+
+
 def _values(t) -> list:
     return [t.fields.scalar(v, t.den) for v in t.data]
 
@@ -168,14 +200,12 @@ def test_contraction_keeps_one_denominator_in_lowest_terms():
         ring = interp._exact_ring(modulus)
         one, zero = CycloScalar.one(modulus), CycloScalar.zero(modulus)
         s = sqrt_two(modulus).scale(Fraction(1, 2))
-        leaf = interp._leaf_tensor(hbox(), 2, ring)
-        h = interp._Tensor(["a0", "a1"], *leaf)
+        h = interp._leaf_tensor(hbox(), 2, ring)
         assert h.den == 2  # 1/sqrt2 = (z^(M/8) - z^(3M/8)) / 2
         assert _values(h) == [s, s, s, -s]
-        t = h
+        axes, t = ["a0", "a1"], h
         for k in range(1, 400):
-            t = interp._contract_pair(
-                t, interp._Tensor([f"a{k}", f"a{k + 1}"], *leaf), ring)
+            axes, t = contract_pair(ring, t, axes, h, [f"a{k}", f"a{k + 1}"])
             # k + 1 H boxes: the identity when k + 1 is even, H otherwise
             assert (t.den, _values(t)) == ((1, [one, zero, zero, one]) if k % 2
                                             else (2, [s, s, s, -s]))
@@ -189,8 +219,9 @@ def test_leaves_are_born_in_lowest_terms(modulus):
     kinds = [(hbox(), 2)] + [(NodeKind(colour, PiRational(k, 4)), degree)
                              for colour in (Z, X) for k in range(8) for degree in range(7)]
     for kind, degree in kinds:
-        den, data, _, fields, _, _ = interp._leaf_tensor(kind, degree, ring)
-        assert den == 1 or any(c % 2 for v in data for c in fields.decode(v)), (kind, degree)
+        leaf = interp._leaf_tensor(kind, degree, ring)
+        assert leaf.den == 1 or any(c % 2 for v in leaf.data for c in leaf.fields.decode(v)), \
+            (kind, degree)
 
 
 @given(st.lists(st.integers(0, 99), min_size=1, max_size=16, unique=True), st.data())

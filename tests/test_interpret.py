@@ -113,23 +113,22 @@ def test_node_tensor_generator_table():
 @settings(max_examples=200, deadline=None)
 def test_spider_leaves_are_two_values_that_expand_to_their_entries(M, colour, legs, exact_ring,
                                                                    data):
-    # a spider leaf is held by its two values; ``_dense``, which node_tensor
-    # and the float backend share, must expand them to the entries built
-    # here apart from it: COPY (Z) by index, PARITY (X) by popcount
+    # an exact spider leaf is held by its two values, and ``_dense`` must
+    # expand them to the entries built here apart from it, as ``_float_leaf``
+    # must build the float backend's: COPY (Z) by index, PARITY (X) by popcount
     k = data.draw(st.integers(0, M - 1), label="k")
-    ring = interp._exact_ring(M) if exact_ring else interp._FLOAT_RING
-    leaf = interp._Tensor(None, *interp._leaf_tensor(NodeKind(colour, PiRational(2 * k, M)),
-                                                     legs, ring))
-    assert leaf.spider == colour and len(leaf.data) == 2
-    entries = interp._dense(leaf, 1 << legs).data
+    kind = NodeKind(colour, PiRational(2 * k, M))
     if exact_ring:
-        got = [leaf.fields.scalar(v, leaf.den) for v in entries]
+        leaf = interp._leaf_tensor(kind, legs, interp._exact_ring(M))
+        assert leaf.spider == colour and len(leaf.data) == 2
+        got = [leaf.fields.scalar(v, leaf.den) for v in interp._dense(leaf, 1 << legs).data]
         one, zero, u = CycloScalar.one(M), CycloScalar.zero(M), root_of_unity(k, M // 2, M)
         scale = one
         for _ in range(legs):
             scale = scale * sqrt_two(M).scale(Fraction(1, 2))
     else:
-        got, one, zero, u = entries, 1, 0, cmath.exp(1j * math.pi * 2 * k / M)
+        got, one, zero = interp._float_leaf(kind, legs), 1, 0
+        u = cmath.exp(1j * math.pi * 2 * k / M)
         scale = 2 ** (-legs / 2)
     size = 1 << legs
     if colour == Z:

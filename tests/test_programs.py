@@ -52,7 +52,7 @@ def chain(k: int, phase=PiRational(1, 4)) -> Diagram:
 
 
 def leaf_axes(d: Diagram, max_rank: int = 16) -> list:
-    return [axes for _, axes, _ in interp._tensor_axes(d, max_rank)]
+    return [axes for _, axes in interp._tensor_axes(d, max_rank)]
 
 
 def stored_leaves(cache) -> list:

@@ -12,6 +12,8 @@ import importlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zxexact.diagram import Z, NodeKind, PiRational
+
 interp = importlib.import_module("zxexact.interpret")
 
 
@@ -47,7 +49,7 @@ def _tensor(data, axes: list[str], free: list[str], bits: int, fields):
             for o in offsets:
                 coeffs[o] = [0] * fields.n
     den = 1 << data.draw(st.integers(0, 20), label="den exponent")  # 2^40: past a field
-    return interp._Tensor(axes, den, [fields.encode(c) for c in coeffs], bits, fields)
+    return interp._Tensor(den, [fields.encode(c) for c in coeffs], bits, fields)
 
 
 @given(st.sampled_from((8, 24, 312)), st.sampled_from((32, 64)), st.data())
@@ -63,15 +65,17 @@ def test_row_kernel_is_the_product_loop(M, width, data):
     shared = [f"s{k}" for k in range(n_shared)]
     bits1 = data.draw(st.integers(0, fields.limit - n_shared), label="bound of t1")
     bits2 = fields.limit - n_shared - bits1  # the bounds and shared axes sum to the limit
-    t1 = _tensor(data, data.draw(st.permutations(free1 + shared)), free1, bits1, fields)
-    t2 = _tensor(data, data.draw(st.permutations(shared + free2)), free2, bits2, fields)
-    axes, layout = interp._pair_layout(t1.axes, t2.axes)
+    axes1 = data.draw(st.permutations(free1 + shared))
+    axes2 = data.draw(st.permutations(shared + free2))
+    t1, t2 = _tensor(data, axes1, free1, bits1, fields), _tensor(data, axes2, free2, bits2, fields)
+    _, layout = interp._pair_layout(axes1, axes2)
 
     want = interp._products(t1.data, t2.data, *layout, 0)
     den, strip = fields.reduce_in_lowest_terms(want, t1.den * t2.den)
-    got = ring.contract(t1, t2, axes, layout)
+    got = ring.contract(t1, t2, layout)
     assert got.fields is fields  # no field was widened: the bound is at the limit
-    assert (got.den, got.data, got.bits) == (den, want, bits1 + bits2 + n_shared - strip)
+    # the bound is the sum less the 2s divided out, but never below 0 (a zero result)
+    assert (got.den, got.data, got.bits) == (den, want, max(bits1 + bits2 + n_shared - strip, 0))
 
 
 def test_a_row_that_reduces_to_zero_strips_as_the_product_loop_does():
@@ -82,11 +86,36 @@ def test_a_row_that_reduces_to_zero_strips_as_the_product_loop_does():
     fields = ring.leaf_fields
     a = fields.encode([1, 0, 0, 0, 1] + [0] * 7)
     b = fields.encode([1, 0, 0, 0, -1, 0, 0, 0, 1] + [0] * 3)
-    t1 = interp._Tensor(["s", "a"], 1 << 20, [a, 0, a, 0], 1, fields)
-    t2 = interp._Tensor(["s"], 1 << 20, [b, b], 2, fields)
-    axes, layout = interp._pair_layout(t1.axes, t2.axes)
+    t1 = interp._Tensor(1 << 20, [a, 0, a, 0], 1, fields)
+    t2 = interp._Tensor(1 << 20, [b, b], 2, fields)
+    _, layout = interp._pair_layout(["s", "a"], ["s"])
     want = interp._products(t1.data, t2.data, *layout, 0)
     den, strip = fields.reduce_in_lowest_terms(want, t1.den * t2.den)
-    got = ring.contract(t1, t2, axes, layout)
+    got = ring.contract(t1, t2, layout)
     assert got.data == want == [0, 0]
-    assert (got.den, got.bits) == (den, 1 + 2 + 1 - strip)
+    assert (got.den, got.bits) == (den, max(1 + 2 + 1 - strip, 0))
+
+
+def test_a_tensor_that_reduces_to_zero_is_zero_over_one():
+    # entries that are non-zero sums reducing to 0 leave only each field's top
+    # bit in the parity word: both reducers must still strip every 2 of the
+    # denominator, and the bound must stay at 0 or more
+    ring = interp._exact_ring(24)  # the row above, through ``contract``
+    fields = ring.leaf_fields
+    a = fields.encode([1, 0, 0, 0, 1] + [0] * 7)
+    b = fields.encode([1, 0, 0, 0, -1, 0, 0, 0, 1] + [0] * 3)
+    _, layout = interp._pair_layout(["s", "a"], ["s"])
+    got = ring.contract(interp._Tensor(1 << 20, [a, 0, a, 0], 1, fields),
+                        interp._Tensor(1 << 20, [b, b], 2, fields), layout)
+    assert (got.data, got.den) == ([0, 0], 1) and got.bits >= 0
+    # at M = 8, 1 + X^4 is 0 modulo X^4 + 1: alone, and as the Z step
+    # (``contract_z``, u = X) of the entries 1 and X^3 over one shared leg
+    ring = interp._exact_ring(8)
+    fields = ring.leaf_fields
+    data = [(1 << 4 * fields.width) + 1]
+    assert fields.reduce_in_lowest_terms(data, 1 << 40) == (1, 40) and data == [0]
+    z = interp._leaf_tensor(NodeKind(Z, PiRational(1, 4)), 1, ring)
+    t = interp._Tensor(1 << 40, [fields.encode([1, 0, 0, 0]), fields.encode([0, 0, 0, 1])], 0,
+                       fields)
+    got = ring.contract_z(z, t, interp._pair_layout(["s"], ["s"])[1], True)
+    assert (got.data, got.den) == ([0], 1) and got.bits >= 0
